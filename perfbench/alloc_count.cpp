@@ -1,0 +1,33 @@
+/// Counting global operator new for the qkbench binary only: every call
+/// bumps a per-thread counter, so allocation counts per layer are exact and
+/// unaffected by other threads (the serving engine's router and shards).
+
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+
+#include "qkbench.hpp"
+
+namespace {
+thread_local std::uint64_t t_allocations = 0;
+}  // namespace
+
+std::uint64_t qkbench::thread_allocations() { return t_allocations; }
+
+void* operator new(std::size_t n) {
+  ++t_allocations;
+  if (n == 0) n = 1;
+  for (;;) {
+    if (void* p = std::malloc(n)) return p;
+    std::new_handler handler = std::get_new_handler();
+    if (handler == nullptr) throw std::bad_alloc();
+    handler();
+  }
+}
+
+void* operator new[](std::size_t n) { return ::operator new(n); }
+
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }

@@ -1,17 +1,18 @@
 /// Rank-distributed serving benchmark: serve::RankShardedEngine — the
-/// sharded frontend whose shard boundary is a parallel::Transport (see
-/// DESIGN.md) — driven by the same deterministic serve::workload scenarios
-/// as bench/serving_sharded, so the two frontends' numbers are directly
-/// comparable.
+/// sharded frontend whose shard boundary is a framed byte link per shard
+/// worker (see DESIGN.md) — driven by the same deterministic
+/// serve::workload scenarios as bench/serving_sharded, so the two
+/// frontends' numbers are directly comparable.
 ///
-/// Transports (--transport=inproc|socket, default inproc):
-///  - inproc: shards are parallel::RankRuntime ranks, messages over typed
-///    in-process channels.
+/// Worker kinds (--transport=inproc|socket, default inproc):
+///  - inproc: shards are thread workers, each linked to the router by a
+///    socketpair carrying the QKFR frame codec.
 ///  - socket: shards are serving_rankd worker processes connected over
-///    Unix-domain sockets with the QKFR frame codec — the real wire. The
-///    bench spawns the workers itself (worker binary baked in at build
-///    time, overridable with --worker=PATH); throughput/p99 against the
-///    inproc numbers shows the framing + loopback cost.
+///    Unix-domain sockets with the same codec. The bench spawns the
+///    workers itself (worker binary baked in at build time, overridable
+///    with --worker=PATH); throughput/p99 against the inproc numbers
+///    shows the cost of process workers (bundle load, loopback listener,
+///    separate address spaces).
 ///
 /// Three sections:
 ///  1. Rank scaling (both transports): the cache-pressure uniform stream
@@ -285,7 +286,7 @@ int main(int argc, char** argv) {
                           ? "serving_ranked: rank-distributed sharded "
                             "frontend over socket workers (serving_rankd)"
                           : "serving_ranked: rank-distributed sharded "
-                            "frontend over RankRuntime");
+                            "frontend over thread workers");
   const bool full = full_scale_requested();
   const idx per_class = env_int("QKMPS_RANKED_TRAIN", full ? 100 : 24);
   const idx m = env_int("QKMPS_RANKED_FEATURES", full ? 20 : 10);
@@ -359,8 +360,8 @@ int main(int argc, char** argv) {
   std::printf("\n%zu workers vs 1: %.2fx throughput (per-shard resources "
               "fixed; transport: %s)\n",
               rank_counts.back(), speedup,
-              socket_mode ? "QKFR-framed unix sockets"
-                          : "the typed Comm channel pair");
+              socket_mode ? "QKFR-framed unix sockets to worker processes"
+                          : "QKFR-framed socketpairs to worker threads");
 
   // --- Section 2: elastic resize, ring vs modulo on a Zipf stream. ------
   // Both transports: over sockets the add_shard() spawns and handshakes a

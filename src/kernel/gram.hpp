@@ -25,6 +25,12 @@ struct GramStats {
   idx inner_products = 0;
   double avg_max_bond = 0.0;          ///< Table I column
   std::size_t avg_mps_bytes = 0;      ///< Table I column
+  /// Eq. 8 discarded weight (the summed squared singular values truncated
+  /// away), summed over every simulated state. This is not a bound on
+  /// the error of a kernel entry: overlap error grows roughly like the
+  /// square root of the weight, so at d = 3 with 10 features entries were
+  /// 3e-10 off the statevector reference while the summed weight was
+  /// 4.6e-15. A weight -> kernel -> decision-value bound has to use √w.
   double total_discarded_weight = 0.0;
 };
 

@@ -9,7 +9,7 @@ namespace qkmps::linalg {
 
 /// Dense row-major complex matrix. This is the workhorse value type of the
 /// simulator: MPS site tensors are matricized into `Matrix` views for every
-/// contraction and decomposition (see tensor/ and mps/).
+/// contraction and decomposition (see mps/).
 class Matrix {
  public:
   Matrix() = default;

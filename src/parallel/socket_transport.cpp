@@ -58,6 +58,22 @@ int cloexec_socket(int domain) {
 #endif
 }
 
+/// Both ends of an AF_UNIX stream socketpair, each close-on-exec. A
+/// thread worker's link must not leak into a process worker spawned
+/// later: the inherited dup would keep the link open after either side
+/// closed it, hiding the EOF that reads as a dead peer.
+void cloexec_socketpair(int fds[2]) {
+#ifdef SOCK_CLOEXEC
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) != 0)
+    throw_errno("socketpair(AF_UNIX)");
+#else
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0)
+    throw_errno("socketpair(AF_UNIX)");
+  set_cloexec(fds[0]);
+  set_cloexec(fds[1]);
+#endif
+}
+
 int cloexec_accept(int listener_fd) {
 #if defined(SOCK_CLOEXEC) && defined(__linux__)
   return ::accept4(listener_fd, nullptr, nullptr, SOCK_CLOEXEC);
@@ -322,6 +338,18 @@ SocketTransport::~SocketTransport() {
   if (fd_ >= 0) ::close(fd_);
 }
 
+std::pair<std::unique_ptr<SocketTransport>, std::unique_ptr<SocketTransport>>
+SocketTransport::pair() {
+  int fds[2];
+  cloexec_socketpair(fds);
+  std::pair<std::unique_ptr<SocketTransport>, std::unique_ptr<SocketTransport>>
+      ends{std::make_unique<SocketTransport>(fds[0]),
+           std::make_unique<SocketTransport>(fds[1])};
+  set_nonblocking(fds[0]);
+  set_nonblocking(fds[1]);
+  return ends;
+}
+
 std::unique_ptr<SocketTransport> SocketTransport::connect(
     const std::string& address, std::chrono::milliseconds timeout) {
   const auto deadline = std::chrono::steady_clock::now() + timeout;
@@ -479,8 +507,10 @@ std::optional<std::vector<std::uint8_t>> SocketTransport::try_recv() {
 
 std::optional<std::vector<std::uint8_t>> SocketTransport::recv_for(
     std::chrono::microseconds timeout) {
-  // Zero/negative degrade to try_recv semantics — the Comm::recv_for
-  // contract pinned in tests/test_rank_runtime.cpp.
+  // Zero/negative degrade to try_recv semantics: an already-queued frame
+  // is returned, an empty link yields nullopt at once — a negative
+  // duration must never read as "wait forever" (pinned in
+  // tests/test_socket_transport.cpp).
   if (timeout <= std::chrono::microseconds::zero()) return try_recv();
   const auto deadline = std::chrono::steady_clock::now() + timeout;
   for (;;) {

@@ -35,13 +35,11 @@
 #include "linalg/svd.hpp"            // IWYU pragma: export
 #include "linalg/symeig.hpp"         // IWYU pragma: export
 #include "mps/canonical.hpp"         // IWYU pragma: export
-#include "mps/entanglement.hpp"      // IWYU pragma: export
 #include "mps/gate_application.hpp"  // IWYU pragma: export
 #include "mps/inner_product.hpp"     // IWYU pragma: export
 #include "mps/memory_tracker.hpp"    // IWYU pragma: export
 #include "mps/mps.hpp"               // IWYU pragma: export
 #include "mps/observables.hpp"       // IWYU pragma: export
-#include "mps/sampling.hpp"          // IWYU pragma: export
 #include "mps/serialization.hpp"     // IWYU pragma: export
 #include "mps/simulator.hpp"         // IWYU pragma: export
 #include "mps/truncation.hpp"        // IWYU pragma: export
@@ -61,10 +59,6 @@
 #include "svm/metrics.hpp"           // IWYU pragma: export
 #include "svm/model_selection.hpp"   // IWYU pragma: export
 #include "svm/svm.hpp"               // IWYU pragma: export
-#include "tensor/contract.hpp"       // IWYU pragma: export
-#include "tensor/decompositions.hpp" // IWYU pragma: export
-#include "tensor/permute.hpp"        // IWYU pragma: export
-#include "tensor/tensor.hpp"         // IWYU pragma: export
 #include "util/cli.hpp"              // IWYU pragma: export
 #include "util/error.hpp"            // IWYU pragma: export
 #include "util/json_writer.hpp"      // IWYU pragma: export

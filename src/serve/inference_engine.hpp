@@ -17,7 +17,7 @@
 #include "serve/state_cache.hpp"
 
 namespace qkmps::parallel {
-class Transport;  // the shard-worker loop's link (parallel/transport.hpp)
+class SocketTransport;  // the shard-worker loop's link
 }
 
 namespace qkmps::serve {
@@ -113,7 +113,6 @@ struct EngineStats {
 /// (e.g. the shards of a ShardedEngine) keep one copy of the resident
 /// support-vector states between them.
 class ShardedEngine;
-class RankShardedEngine;
 
 class InferenceEngine {
  public:
@@ -148,14 +147,13 @@ class InferenceEngine {
  private:
   /// The sharded frontends validate each request once at admission; their
   /// drainers (ShardedEngine) and shard workers (the shared
-  /// serve::run_shard_worker loop behind RankShardedEngine and
-  /// serving_rankd) then score through predict_batch_trusted and skip the
-  /// re-validation scan on the latency-critical drain path. Socket-mode
-  /// requests were validated by the router's submit() before they ever
-  /// crossed the wire.
+  /// serve::run_shard_worker loop behind RankShardedEngine's thread and
+  /// process workers) then score through predict_batch_trusted and skip
+  /// the re-validation scan on the latency-critical drain path: requests
+  /// were validated by the router's submit() before they ever crossed
+  /// the link.
   friend class ShardedEngine;
-  friend class RankShardedEngine;
-  friend bool run_shard_worker(parallel::Transport& link,
+  friend bool run_shard_worker(parallel::SocketTransport& link,
                                InferenceEngine& engine,
                                const struct ShardWorkerOptions& options);
   std::vector<Prediction> predict_batch_trusted(

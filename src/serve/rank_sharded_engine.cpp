@@ -124,28 +124,41 @@ RankShardedEngine::RankShardedEngine(std::shared_ptr<const ModelBundle> bundle,
     // ties these containers to topology_mu_ everywhere.
     util::MutexLock topo(topology_mu_);
     router_ = make_router(config_.router, weights);
+    // Same lane budgeting as ShardedEngine: num_threads == 0 divides the
+    // hardware threads across the shards, since every worker shares this
+    // host.
+    const std::vector<std::size_t> lanes =
+        shard_thread_lanes(config_.engine.num_threads, config_.num_shards);
     for (std::size_t i = 0; i < config_.num_shards; ++i) {
       shard_state_.push_back(std::make_unique<ShardState>());
       shard_state_.back()->weight = weights[i];
-    }
-    if (config_.transport == TransportKind::kInProcess) {
-      const std::vector<std::size_t> lanes =
-          shard_thread_lanes(config_.engine.num_threads, config_.num_shards);
-      engines_.reserve(config_.num_shards);
-      for (std::size_t i = 0; i < config_.num_shards; ++i) {
-        EngineConfig engine_cfg = config_.engine;
-        engine_cfg.num_threads = lanes[i];
-        engines_.push_back(
-            std::make_unique<InferenceEngine>(bundle_, engine_cfg));
-      }
+      shard_state_.back()->threads = lanes[i];
     }
   }
-  start_runtime();
+  start();
 }
 
 RankShardedEngine::~RankShardedEngine() {
   util::MutexLock lifecycle(lifecycle_mu_);
-  stop_runtime(/*final_stop=*/true);
+  {
+    util::MutexLock lock(mu_);
+    draining_ = true;
+    stopped_ = true;
+  }
+  cv_ingress_.notify_all();
+  if (router_thread_.joinable()) router_thread_.join();
+  // Closing each link EOFs any worker the shutdown handshake missed (it
+  // exits on the transport error); the reap then waits it out. The
+  // vector mutates under topology_mu_ because worker_pid()/stats()
+  // readers may still be in flight.
+  std::vector<std::unique_ptr<Worker>> fleet;
+  {
+    util::MutexLock topo(topology_mu_);
+    fleet.swap(workers_);
+    listener_.reset();
+  }
+  for (const std::unique_ptr<Worker>& worker : fleet)
+    if (worker) worker->reap(std::chrono::milliseconds(5000));
   if (!config_.flight_dump_path.empty()) {
     try {
       flight_.dump_to_file(config_.flight_dump_path);
@@ -168,13 +181,11 @@ int RankShardedEngine::shard_for(const std::vector<double>& features) const {
 
 long RankShardedEngine::worker_pid(std::size_t shard) const {
   util::MutexLock topo(topology_mu_);
-  if (shard >= shard_state_.size() || shard >= worker_pids_.size()) return -1;
-  const ShardState& state = *shard_state_[shard];
-  if (state.removed.load(std::memory_order_relaxed) ||
-      state.demoted.load(std::memory_order_relaxed) ||
-      !state.alive.load(std::memory_order_relaxed))
+  if (shard >= shard_state_.size() || shard >= workers_.size() ||
+      workers_[shard] == nullptr)
     return -1;
-  return worker_pids_[shard];
+  if (!shard_state_[shard]->alive.load(std::memory_order_relaxed)) return -1;
+  return workers_[shard]->pid;
 }
 
 std::size_t RankShardedEngine::drain_batch_limit() const {
@@ -194,7 +205,7 @@ std::future<RoutedPrediction> RankShardedEngine::submit(
   bool rejected = false;
   {
     util::MutexLock lock(mu_);
-    if (runtime_error_) std::rethrow_exception(runtime_error_);
+    if (router_error_) std::rethrow_exception(router_error_);
     QKMPS_CHECK_MSG(!stopped_, "submit on a stopped RankShardedEngine");
     submitted_.fetch_add(1, std::memory_order_relaxed);
     if (ingress_.size() >= config_.ingress_capacity) {
@@ -220,192 +231,188 @@ std::future<RoutedPrediction> RankShardedEngine::submit(
   return fut;
 }
 
-void RankShardedEngine::start_runtime() {
-  if (config_.transport == TransportKind::kSocket) {
-    start_socket_runtime();
-    return;
-  }
-  std::size_t n_engines;
-  {
-    util::MutexLock topo(topology_mu_);
-    n_engines = engines_.size();
-  }
-  runtime_ = std::make_unique<parallel::RankRuntime>(
-      static_cast<int>(n_engines) + 1);
-  runtime_thread_ = std::thread([this] {
-    try {
-      runtime_->run([this](parallel::Comm& comm) {
-        if (comm.rank() == 0) {
-          std::vector<std::unique_ptr<parallel::CommTransport>> links;
-          std::vector<parallel::Transport*> ptrs;
-          for (int s = 1; s < comm.size(); ++s) {
-            links.push_back(std::make_unique<parallel::CommTransport>(comm, s));
-            ptrs.push_back(links.back().get());
-          }
-          try {
-            router_loop(ptrs);
-          } catch (...) {
-            // A dying router must not strand shards in their recv loop —
-            // run() joins every rank before rethrowing, so an unreleased
-            // shard would deadlock the destructor. CommTransport::send
-            // never blocks; a shard that already exited just leaves the
-            // extra envelope unconsumed.
-            for (parallel::Transport* link : ptrs)
-              link->send(encode_envelope(
-                  ShardEnvelope{ShardEnvelope::Kind::kShutdown, 0, {}}));
-            throw;
-          }
-        } else {
-          // A removed shard's slot still gets a rank (ids are never
-          // reused) but has no engine left — its loop is a no-op; the
-          // router never addresses it.
-          // Engine slots only mutate between runtimes (the resize caller
-          // holds lifecycle_mu_ with this thread joined), so the pointer
-          // grabbed here stays valid for the runtime's whole life.
-          InferenceEngine* engine = nullptr;
-          {
-            util::MutexLock topo(topology_mu_);
-            engine = engines_[static_cast<std::size_t>(comm.rank() - 1)].get();
-          }
-          if (engine != nullptr) {
-            parallel::CommTransport link(comm, 0);
-            ShardWorkerOptions options;
-            options.batch_limit = std::max<std::size_t>(1, drain_batch_limit());
-            run_shard_worker(link, *engine, options);
-          }
-        }
-      });
-    } catch (...) {
-      // A rank body escaped its own handling (internal invariant failure,
-      // e.g. a wire-codec mismatch). Remember it so the next API call
-      // fails loudly instead of hanging on a dead router.
-      util::MutexLock lock(mu_);
-      runtime_error_ = std::current_exception();
-    }
-  });
+void RankShardedEngine::Worker::reap(std::chrono::milliseconds grace) {
+  link.reset();
+  if (thread.joinable()) thread.join();
+  if (pid > 0) reap_worker(pid, grace);
+  pid = -1;
 }
 
 std::vector<std::string> RankShardedEngine::worker_args(
-    std::size_t shard, std::size_t threads, double weight,
-    std::uint64_t generation) const {
+    const WorkerSpec& spec) const {
   std::vector<std::string> args = {
       "--connect=" + listener_->address(),
-      "--shard=" + std::to_string(shard),
+      "--shard=" + std::to_string(spec.shard),
       "--bundle=" + config_.socket.bundle_dir,
       "--max-batch=" + std::to_string(config_.engine.max_batch),
       "--gather=" + std::to_string(drain_batch_limit()),
       "--batch-deadline-us=" +
           std::to_string(config_.engine.batch_deadline.count()),
-      "--threads=" + std::to_string(threads),
+      "--threads=" + std::to_string(spec.threads),
       "--cache=" + std::to_string(config_.engine.cache_capacity),
       "--memo=" + std::to_string(config_.engine.memo_capacity),
-      "--weight=" + format_weight(weight),
-      "--generation=" + std::to_string(generation)};
+      "--weight=" + format_weight(spec.weight),
+      "--generation=" + std::to_string(spec.generation)};
   args.insert(args.end(), config_.socket.worker_extra_args.begin(),
               config_.socket.worker_extra_args.end());
   return args;
 }
 
-void RankShardedEngine::start_socket_runtime() {
-  const SocketTransportConfig& sc = config_.socket;
-  QKMPS_CHECK_MSG(!sc.worker_path.empty(),
-                  "socket transport needs socket.worker_path (the "
-                  "serving_rankd binary)");
-  QKMPS_CHECK_MSG(!sc.bundle_dir.empty(),
-                  "socket transport needs socket.bundle_dir (the bundle "
-                  "handoff directory)");
-  // Hand the model to the workers through the bundle format — the same
-  // artifact a real deployment ships. save_bundle is atomic, so workers
-  // can never observe a half-written manifest.
-  save_bundle(*bundle_, sc.bundle_dir);
-
-  const std::string address =
-      sc.listen_address.empty() ? default_socket_address() : sc.listen_address;
-  // The listener stays open for the engine's whole life — it is what
-  // makes the fleet elastic: add_shard() and the respawn path accept
-  // fresh workers on it long after the initial fleet handshakes in.
-  listener_ = std::make_unique<parallel::SocketListener>(
-      parallel::SocketListener::listen(address));
-
-  // ShardState objects are stable once published (slots are never
-  // erased), so the startup below works through raw pointers grabbed in
-  // one locked sweep instead of holding topology_mu_ across spawns.
-  std::vector<ShardState*> states;
-  {
-    util::MutexLock topo(topology_mu_);
-    states.reserve(shard_state_.size());
-    for (const auto& st : shard_state_) states.push_back(st.get());
-  }
-  const std::size_t n = states.size();
-  // Same lane budgeting as the in-process constructor: num_threads == 0
-  // divides the hardware threads across the shards. The workers share
-  // this host, so handing each a full-width pool would oversubscribe it
-  // N-fold — and would make the bench's inproc-vs-socket comparison
-  // measure thread counts instead of transport cost.
-  const std::vector<std::size_t> lanes =
-      shard_thread_lanes(config_.engine.num_threads, n);
-  // Spawn and handshake into locals; links_/worker_pids_ publish in a
-  // single locked swap once the whole fleet has arrived, so concurrent
-  // worker_pid()/stats() readers never see a half-built topology.
-  std::vector<long> pids;
-  std::vector<std::unique_ptr<parallel::SocketTransport>> conns(n);
-  try {
-    for (std::size_t i = 0; i < n; ++i) {
-      states[i]->threads = lanes[i];
-      pids.push_back(spawn_worker_process(
-          sc.worker_path,
-          worker_args(i, lanes[i], states[i]->weight, 0)));
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      std::unique_ptr<parallel::SocketTransport> conn =
-          listener_->accept_for(sc.connect_timeout);
-      QKMPS_CHECK_MSG(conn != nullptr,
-                      "timed out waiting for shard workers to connect ("
-                          << i << " of " << n << " arrived)");
-      ShardAcceptPolicy policy;
-      policy.num_shards = n;
-      policy.num_features = bundle_->num_features();
-      const ShardHello hello = shard_handshake_server(
-          *conn, policy,
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              sc.connect_timeout));
-      QKMPS_CHECK_MSG(conns[hello.shard_index] == nullptr,
-                      "two workers claimed shard " << hello.shard_index);
-      QKMPS_CHECK_MSG(hello.weight == states[hello.shard_index]->weight,
-                      "worker for shard " << hello.shard_index
-                                          << " echoed the wrong ring weight");
-      conns[hello.shard_index] = std::move(conn);
-      flight_.record_event(
-          obs::EventKind::kSpawn, static_cast<int>(hello.shard_index), 0,
-          "pid " + std::to_string(pids[hello.shard_index]));
-    }
-  } catch (...) {
-    // Fail construction loudly but cleanly: no orphan processes, no
-    // stale socket files.
-    conns.clear();
-    listener_.reset();
-    for (long pid : pids) reap_worker(pid, std::chrono::milliseconds(500));
-    throw;
-  }
-  {
-    util::MutexLock topo(topology_mu_);
-    links_.reserve(n);
-    for (auto& conn : conns) links_.push_back(std::move(conn));
-    worker_pids_ = std::move(pids);
-  }
-
-  runtime_thread_ = std::thread([this] {
-    std::vector<parallel::Transport*> ptrs;
-    {
-      util::MutexLock topo(topology_mu_);
-      ptrs.reserve(links_.size());
-      for (const auto& link : links_) ptrs.push_back(link.get());
-    }
+std::unique_ptr<RankShardedEngine::Worker>
+RankShardedEngine::spawn_thread_worker(const WorkerSpec& spec) const {
+  EngineConfig engine_cfg = config_.engine;
+  engine_cfg.num_threads = spec.threads;
+  auto engine = std::make_unique<InferenceEngine>(bundle_, engine_cfg);
+  auto [router_end, worker_end] = parallel::SocketTransport::pair();
+  ShardWorkerOptions options;
+  options.batch_limit = std::max<std::size_t>(1, drain_batch_limit());
+  auto worker = std::make_unique<Worker>();
+  worker->link = std::move(router_end);
+  worker->label = "thread";
+  worker->thread = std::thread([engine = std::move(engine),
+                                link = std::move(worker_end), options,
+                                shard = spec.shard] {
     try {
-      router_loop(std::move(ptrs));
+      run_shard_worker(*link, *engine, options);
+    } catch (const std::exception& e) {
+      // Reported like serving_rankd reports it. The link closes as the
+      // thread unwinds, and the router reads the EOF as a dead worker —
+      // the same signal a crashed process gives.
+      std::fprintf(stderr, "thread worker for shard %zu: %s\n", shard,
+                   e.what());
+    }
+  });
+  return worker;
+}
+
+std::vector<std::unique_ptr<RankShardedEngine::Worker>>
+RankShardedEngine::spawn_workers(const std::vector<WorkerSpec>& specs,
+                                 std::size_t fleet_size) {
+  // Workers made so far reap themselves (~Worker) if a later one throws.
+  std::vector<std::unique_ptr<Worker>> workers;
+  workers.reserve(specs.size());
+  if (config_.transport == TransportKind::kInProcess) {
+    for (const WorkerSpec& spec : specs)
+      workers.push_back(spawn_thread_worker(spec));
+    return workers;
+  }
+  if (listener_ == nullptr) {
+    const SocketTransportConfig& sc = config_.socket;
+    QKMPS_CHECK_MSG(!sc.worker_path.empty(),
+                    "socket transport needs socket.worker_path (the "
+                    "serving_rankd binary)");
+    QKMPS_CHECK_MSG(!sc.bundle_dir.empty(),
+                    "socket transport needs socket.bundle_dir (the bundle "
+                    "handoff directory)");
+    // Hand the model to the workers through the bundle format — the same
+    // artifact a real deployment ships. save_bundle is atomic, so
+    // workers can never observe a half-written manifest.
+    save_bundle(*bundle_, sc.bundle_dir);
+    listener_ = std::make_unique<parallel::SocketListener>(
+        parallel::SocketListener::listen(sc.listen_address.empty()
+                                             ? default_socket_address()
+                                             : sc.listen_address));
+  }
+  for (const WorkerSpec& spec : specs) {
+    auto worker = std::make_unique<Worker>();
+    worker->pid =
+        spawn_worker_process(config_.socket.worker_path, worker_args(spec));
+    worker->label = "pid " + std::to_string(worker->pid);
+    workers.push_back(std::move(worker));
+  }
+  link_process_workers(specs, fleet_size, workers);
+  return workers;
+}
+
+void RankShardedEngine::link_process_workers(
+    const std::vector<WorkerSpec>& specs, std::size_t fleet_size,
+    std::vector<std::unique_ptr<Worker>>& workers) {
+  ShardAcceptPolicy policy;
+  policy.num_shards = fleet_size;
+  policy.num_features = bundle_->num_features();
+  if (specs.size() == 1) {
+    // Exactly one expected worker (grow, respawn): pin it, so a
+    // straggler — a superseded generation that connected late, a
+    // backlogged corpse — is refused at the handshake.
+    policy.require_shard = specs[0].shard;
+    policy.require_generation = specs[0].generation;
+    policy.require_weight = specs[0].weight;
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + config_.socket.connect_timeout;
+  for (std::size_t linked = 0; linked < specs.size();) {
+    const auto left = deadline - std::chrono::steady_clock::now();
+    QKMPS_CHECK_MSG(left > std::chrono::steady_clock::duration::zero(),
+                    "timed out waiting for shard workers to connect ("
+                        << linked << " of " << specs.size() << " arrived)");
+    std::unique_ptr<parallel::SocketTransport> conn = listener_->accept_for(
+        std::chrono::duration_cast<std::chrono::milliseconds>(left));
+    QKMPS_CHECK_MSG(conn != nullptr,
+                    "timed out waiting for shard workers to connect ("
+                        << linked << " of " << specs.size() << " arrived)");
+    ShardHello hello;
+    try {
+      hello = shard_handshake_server(
+          *conn, policy,
+          std::chrono::duration_cast<std::chrono::microseconds>(left));
+    } catch (const Error& e) {
+      // A refused connection is not a failure: it was told why and is
+      // dropped, and we keep waiting for the workers we spawned.
+      flight_.record_event(
+          obs::EventKind::kHandshakeRefused,
+          policy.require_shard ? static_cast<int>(*policy.require_shard) : -1,
+          policy.require_generation.value_or(0), e.what());
+      continue;
+    }
+    const auto spec = std::find_if(
+        specs.begin(), specs.end(),
+        [&](const WorkerSpec& s) { return s.shard == hello.shard_index; });
+    QKMPS_CHECK_MSG(spec != specs.end(), "a worker claimed shard "
+                                             << hello.shard_index
+                                             << ", which was not spawned");
+    Worker& worker = *workers[static_cast<std::size_t>(spec - specs.begin())];
+    QKMPS_CHECK_MSG(worker.link == nullptr,
+                    "two workers claimed shard " << hello.shard_index);
+    QKMPS_CHECK_MSG(hello.weight == spec->weight,
+                    "worker for shard " << hello.shard_index
+                                        << " echoed the wrong ring weight");
+    worker.link = std::move(conn);
+    ++linked;
+  }
+}
+
+void RankShardedEngine::start() {
+  std::vector<WorkerSpec> specs;
+  {
+    util::MutexLock topo(topology_mu_);
+    for (std::size_t i = 0; i < shard_state_.size(); ++i)
+      specs.push_back(WorkerSpec{i, shard_state_[i]->threads,
+                                 shard_state_[i]->weight, 0});
+  }
+  // Spawn and link into locals; workers_ publishes in a single locked
+  // swap once the whole fleet has arrived, so concurrent
+  // worker_pid()/stats() readers never see a half-built topology.
+  std::vector<std::unique_ptr<Worker>> fleet =
+      spawn_workers(specs, specs.size());
+  for (std::size_t i = 0; i < fleet.size(); ++i)
+    flight_.record_event(obs::EventKind::kSpawn, static_cast<int>(i), 0,
+                         fleet[i]->label);
+  std::vector<parallel::SocketTransport*> links;
+  {
+    util::MutexLock topo(topology_mu_);
+    workers_ = std::move(fleet);
+    for (const auto& worker : workers_) links.push_back(worker->link.get());
+  }
+
+  router_thread_ = std::thread([this, links = std::move(links)]() mutable {
+    try {
+      router_loop(std::move(links));
     } catch (...) {
+      // The loop escaped its own handling (internal invariant failure,
+      // e.g. a wire-codec mismatch). Remember it so the next API call
+      // fails loudly instead of hanging on a dead router.
       util::MutexLock lock(mu_);
-      runtime_error_ = std::current_exception();
+      router_error_ = std::current_exception();
     }
     // Fulfil any stats or resize request that raced the shutdown so no
     // caller is left waiting on a promise nobody owns.
@@ -416,46 +423,29 @@ void RankShardedEngine::start_socket_runtime() {
       stats_leftovers.swap(stats_requests_);
       topology_leftovers.swap(topology_requests_);
     }
-    std::size_t n_links;
+    std::size_t n_slots;
     {
       util::MutexLock topo(topology_mu_);
-      n_links = links_.size();
+      n_slots = workers_.size();
     }
     for (auto& p : stats_leftovers)
-      p.set_value(std::vector<EngineStats>(n_links));
+      p.set_value(std::vector<EngineStats>(n_slots));
     for (auto& c : topology_leftovers)
       c.done.set_exception(std::make_exception_ptr(
           Error("engine stopped before the resize could run")));
   });
 }
 
-void RankShardedEngine::stop_runtime(bool final_stop) {
+void RankShardedEngine::run_topology_command(TopologyCommand cmd) {
+  std::future<void> done = cmd.done.get_future();
   {
     util::MutexLock lock(mu_);
-    draining_ = true;
-    if (final_stop) stopped_ = true;
+    if (router_error_) std::rethrow_exception(router_error_);
+    topology_requests_.push_back(std::move(cmd));
   }
   cv_ingress_.notify_all();
-  if (runtime_thread_.joinable()) runtime_thread_.join();
-  runtime_.reset();
-  // Socket teardown: closing the links EOFs any worker the shutdown
-  // handshake missed (it exits on the transport error), then the reaper
-  // waits it out — escalating to SIGKILL so a wedged child cannot hang
-  // the destructor. The vectors mutate under topology_mu_ because
-  // worker_pid()/stats() readers may still be in flight.
-  std::vector<long> pids;
-  {
-    util::MutexLock topo(topology_mu_);
-    links_.clear();
-    listener_.reset();
-    pids.swap(worker_pids_);
-  }
-  for (long pid : pids)
-    if (pid > 0) reap_worker(pid, std::chrono::milliseconds(5000));
-  {
-    util::MutexLock lock(mu_);
-    draining_ = false;
-  }
+  done.get();  // rethrows a failed spawn/link
+  resizes_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void RankShardedEngine::add_shard(double weight) {
@@ -466,52 +456,10 @@ void RankShardedEngine::add_shard(double weight) {
     util::MutexLock lock(mu_);
     QKMPS_CHECK_MSG(!stopped_, "add_shard on a stopped RankShardedEngine");
   }
-
-  if (config_.transport == TransportKind::kSocket) {
-    // The router thread is the topology's single writer: hand it the
-    // resize and wait. Survivors keep serving throughout — their caches
-    // live in their own processes and never notice the growth.
-    TopologyCommand cmd;
-    cmd.op = TopologyCommand::Op::kAdd;
-    cmd.weight = weight;
-    std::future<void> done = cmd.done.get_future();
-    {
-      util::MutexLock lock(mu_);
-      if (runtime_error_) std::rethrow_exception(runtime_error_);
-      topology_requests_.push_back(std::move(cmd));
-    }
-    cv_ingress_.notify_all();
-    done.get();  // rethrows a failed spawn/handshake
-    resizes_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-
-  stop_runtime(/*final_stop=*/false);
-
-  // Existing engines keep their pools (and, crucially, their caches);
-  // only the new shard's lane count reflects the grown topology. With
-  // num_threads == 0 this slightly overcommits hardware threads after a
-  // resize — cache retention is worth more than perfect lane budgeting.
-  std::size_t n_engines;
-  {
-    util::MutexLock topo(topology_mu_);
-    n_engines = engines_.size();
-  }
-  EngineConfig engine_cfg = config_.engine;
-  engine_cfg.num_threads =
-      shard_thread_lanes(config_.engine.num_threads, n_engines + 1).back();
-  {
-    util::MutexLock topo(topology_mu_);
-    engines_.push_back(std::make_unique<InferenceEngine>(bundle_, engine_cfg));
-    shard_state_.push_back(std::make_unique<ShardState>());
-    shard_state_.back()->weight = weight;
-    router_->add_shard(weight);
-  }
-  resizes_.fetch_add(1, std::memory_order_relaxed);
-  flight_.record_event(obs::EventKind::kShardAdded,
-                       static_cast<int>(n_engines), 0, "in-process");
-
-  start_runtime();
+  TopologyCommand cmd;
+  cmd.op = TopologyCommand::Op::kAdd;
+  cmd.weight = weight;
+  run_topology_command(std::move(cmd));
 }
 
 void RankShardedEngine::remove_shard(std::size_t shard) {
@@ -531,39 +479,14 @@ void RankShardedEngine::remove_shard(std::size_t shard) {
       if (!state->removed.load()) ++remaining;
     QKMPS_CHECK_MSG(remaining > 1, "cannot remove the last shard");
   }
-
-  if (config_.transport == TransportKind::kSocket) {
-    TopologyCommand cmd;
-    cmd.op = TopologyCommand::Op::kRemove;
-    cmd.shard = shard;
-    std::future<void> done = cmd.done.get_future();
-    {
-      util::MutexLock lock(mu_);
-      if (runtime_error_) std::rethrow_exception(runtime_error_);
-      topology_requests_.push_back(std::move(cmd));
-    }
-    cv_ingress_.notify_all();
-    done.get();
-    resizes_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-
-  // In-process: the drain inside stop_runtime serves the shard's
-  // in-flight work before its engine (and caches) are released.
-  stop_runtime(/*final_stop=*/false);
-  {
-    util::MutexLock topo(topology_mu_);
-    router_->remove_shard(static_cast<int>(shard));
-    shard_state_[shard]->removed.store(true, std::memory_order_relaxed);
-    engines_[shard].reset();
-  }
-  resizes_.fetch_add(1, std::memory_order_relaxed);
-  flight_.record_event(obs::EventKind::kShardRemoved, static_cast<int>(shard),
-                       0, "in-process");
-  start_runtime();
+  TopologyCommand cmd;
+  cmd.op = TopologyCommand::Op::kRemove;
+  cmd.shard = shard;
+  run_topology_command(std::move(cmd));
 }
 
-void RankShardedEngine::router_loop(std::vector<parallel::Transport*> links) {
+void RankShardedEngine::router_loop(
+    std::vector<parallel::SocketTransport*> links) {
   struct InFlight {
     std::promise<RoutedPrediction> promise;
     std::chrono::steady_clock::time_point submitted;
@@ -573,13 +496,12 @@ void RankShardedEngine::router_loop(std::vector<parallel::Transport*> links) {
     obs::TraceContext trace;
   };
   std::unordered_map<std::uint64_t, InFlight> inflight;
-  const bool socket = config_.transport == TransportKind::kSocket;
   bool drain_marker_sent = false;
   // Sized when the drain marker goes out: the topology is frozen from
   // that point on (resize commands are refused while draining).
   std::vector<char> drain_acked;
-  // Socket mode: a connected-but-unresponsive worker (deadlocked,
-  // SIGSTOP'd) owing replies or a drain ack would otherwise stall the
+  // A connected-but-unresponsive worker (deadlocked, SIGSTOP'd) owing
+  // replies or a drain ack would otherwise stall the
   // drain loop — and with it the destructor — forever. Any progress
   // pushes the deadline out; total silence past it demotes the
   // offenders, matching the shutdown handshake's escalation.
@@ -658,16 +580,14 @@ void RankShardedEngine::router_loop(std::vector<parallel::Transport*> links) {
     state.next_respawn = std::chrono::steady_clock::now() + state.respawn_delay;
   };
 
-  // In-process transport failures are protocol bugs and escape (the
-  // rank-0 catch turns them into a loud runtime_error_); a socket link
-  // failure is an expected distributed-systems outcome and demotes the
-  // shard to dead.
+  // A link failure is an expected distributed-systems outcome for either
+  // worker kind (a killed process, a thread worker that threw): it
+  // demotes the shard to dead, never the router.
   const auto shard_send = [&](int s, const ShardEnvelope& envelope) -> bool {
     try {
       links[static_cast<std::size_t>(s)]->send(encode_envelope(envelope));
       return true;
     } catch (const Error& e) {
-      if (!socket) throw;
       mark_dead(s, e.what());
       return false;
     }
@@ -759,87 +679,46 @@ void RankShardedEngine::router_loop(std::vector<parallel::Transport*> links) {
       if (!bytes) return std::nullopt;
       return decode_reply(*bytes);
     } catch (const Error& e) {
-      if (!socket) throw;
       mark_dead(s, e.what());
       return std::nullopt;
     }
   };
 
   // -------------------------------------------------------------------
-  // Elastic machinery (socket mode). All of it runs on this thread —
-  // the topology's single writer — so only the pointer-swap moments
-  // take topology_mu_ (for the external readers), never the spawns,
-  // accepts, or drains.
-
-  // Accepts connections until one passes the pinned handshake or the
-  // budget runs out. A refused straggler (a superseded generation that
-  // connected late, a backlogged corpse) is not a failure — it is told
-  // why and dropped, and we keep waiting for the worker we spawned.
-  const auto accept_expected =
-      [&](const ShardAcceptPolicy& policy, std::chrono::milliseconds budget)
-      -> std::unique_ptr<parallel::SocketTransport> {
-    const auto deadline = std::chrono::steady_clock::now() + budget;
-    for (;;) {
-      const auto left = deadline - std::chrono::steady_clock::now();
-      QKMPS_CHECK_MSG(left > std::chrono::milliseconds::zero(),
-                      "timed out waiting for the spawned worker to connect");
-      std::unique_ptr<parallel::SocketTransport> conn = listener_->accept_for(
-          std::chrono::duration_cast<std::chrono::milliseconds>(left));
-      QKMPS_CHECK_MSG(conn != nullptr,
-                      "timed out waiting for the spawned worker to connect");
-      try {
-        shard_handshake_server(
-            *conn, policy,
-            std::chrono::duration_cast<std::chrono::microseconds>(left));
-        return conn;
-      } catch (const Error& e) {
-        flight_.record_event(
-            obs::EventKind::kHandshakeRefused,
-            policy.require_shard ? static_cast<int>(*policy.require_shard)
-                                 : -1,
-            policy.require_generation.value_or(0), e.what());
-        if (std::chrono::steady_clock::now() >= deadline) throw;
-      }
-    }
-  };
+  // Elastic machinery. All of it runs on this thread — the topology's
+  // single writer — so only the pointer-swap moments take topology_mu_
+  // (for the external readers), never the spawns, links, or drains.
 
   // One respawn attempt for a dead (not removed, not demoted) slot:
-  // reap the corpse, spawn the next generation with the slot's weight,
-  // handshake it in pinned to (slot, generation, weight). Ring points
-  // are a pure function of (shard, weight), so the replacement inherits
-  // exactly the keyspace its predecessor owned — nothing else moves.
+  // reap the corpse, spawn the next generation with the slot's weight
+  // (a process worker handshakes in pinned to slot, generation and
+  // weight). Ring points are a pure function of (shard, weight), so the
+  // replacement inherits exactly the keyspace its predecessor owned —
+  // nothing else moves.
   const auto try_respawn = [&](std::size_t s) {
     ShardState* state_ptr;
     std::size_t fleet_size;
+    std::unique_ptr<Worker> corpse;
     {
       util::MutexLock topo(topology_mu_);
       state_ptr = shard_state_[s].get();
       fleet_size = shard_state_.size();
-      const long corpse = worker_pids_[s];
-      worker_pids_[s] = -1;
-      if (corpse > 0) reap_worker(corpse, std::chrono::milliseconds(0));
+      corpse = std::move(workers_[s]);
     }
+    links[s] = nullptr;
+    if (corpse) corpse->reap(std::chrono::milliseconds(0));
     ShardState& state = *state_ptr;
     const std::uint64_t generation =
         state.generation.load(std::memory_order_relaxed) + 1;
-    long pid = -1;
     try {
-      pid = spawn_worker_process(
-          config_.socket.worker_path,
-          worker_args(s, state.threads, state.weight, generation));
-      ShardAcceptPolicy policy;
-      policy.num_shards = fleet_size;
-      policy.num_features = bundle_->num_features();
-      policy.require_shard = s;
-      policy.require_generation = generation;
-      policy.require_weight = state.weight;
-      std::unique_ptr<parallel::SocketTransport> conn =
-          accept_expected(policy, config_.socket.connect_timeout);
+      std::vector<std::unique_ptr<Worker>> fresh = spawn_workers(
+          {WorkerSpec{s, state.threads, state.weight, generation}},
+          fleet_size);
+      const std::string label = fresh[0]->label;
       {
         util::MutexLock topo(topology_mu_);
-        links_[s] = std::move(conn);
-        worker_pids_[s] = pid;
-        links[s] = links_[s].get();
+        workers_[s] = std::move(fresh[0]);
+        links[s] = workers_[s]->link.get();
       }
       state.generation.store(generation, std::memory_order_relaxed);
       state.respawns.fetch_add(1, std::memory_order_relaxed);
@@ -848,9 +727,8 @@ void RankShardedEngine::router_loop(std::vector<parallel::Transport*> links) {
       // Back in rotation: requests hashing to this slot serve again.
       state.alive.store(true, std::memory_order_relaxed);
       flight_.record_event(obs::EventKind::kRespawn, static_cast<int>(s),
-                           generation, "pid " + std::to_string(pid));
+                           generation, label);
     } catch (const std::exception& e) {
-      if (pid > 0) reap_worker(pid, std::chrono::milliseconds(500));
       ++state.respawn_attempts;
       flight_.record_event(
           obs::EventKind::kRespawnFailed, static_cast<int>(s), generation,
@@ -881,10 +759,10 @@ void RankShardedEngine::router_loop(std::vector<parallel::Transport*> links) {
     }
   };
 
-  // add_shard over live workers: spawn + handshake generation 0 of a
-  // brand-new slot, then splice it into the topology in one locked
-  // pointer swap. Survivors never stop serving; consistent hashing
-  // moves only ~1/(N+1) of the keyspace onto the newcomer.
+  // add_shard: spawn and link generation 0 of a brand-new slot, then
+  // splice it into the topology in one locked pointer swap. Survivors
+  // never stop serving; consistent hashing moves only ~1/(N+1) of the
+  // keyspace onto the newcomer.
   const auto execute_add = [&](double weight) {
     std::size_t s;
     {
@@ -893,35 +771,23 @@ void RankShardedEngine::router_loop(std::vector<parallel::Transport*> links) {
     }
     const std::size_t threads =
         shard_thread_lanes(config_.engine.num_threads, s + 1).back();
-    const long pid = spawn_worker_process(
-        config_.socket.worker_path, worker_args(s, threads, weight, 0));
-    std::unique_ptr<parallel::SocketTransport> conn;
-    try {
-      ShardAcceptPolicy policy;
-      policy.num_shards = s + 1;
-      policy.num_features = bundle_->num_features();
-      policy.require_shard = s;
-      policy.require_generation = 0;
-      policy.require_weight = weight;
-      conn = accept_expected(policy, config_.socket.connect_timeout);
-    } catch (...) {
-      reap_worker(pid, std::chrono::milliseconds(500));
-      throw;
-    }
+    std::vector<std::unique_ptr<Worker>> fresh =
+        spawn_workers({WorkerSpec{s, threads, weight, 0}}, s + 1);
+    const std::string label = fresh[0]->label;
     auto state = std::make_unique<ShardState>();
     state->weight = weight;
     state->threads = threads;
     {
       util::MutexLock topo(topology_mu_);
-      shard_state_.push_back(std::move(state));
-      links_.push_back(std::move(conn));
-      worker_pids_.push_back(pid);
+      // The ring first: a weight the router refuses leaves the topology
+      // untouched (the fresh worker reaps itself on the way out).
       router_->add_shard(weight);
-      links.push_back(links_.back().get());
+      shard_state_.push_back(std::move(state));
+      workers_.push_back(std::move(fresh[0]));
+      links.push_back(workers_.back()->link.get());
     }
     flight_.record_event(obs::EventKind::kShardAdded, static_cast<int>(s), 0,
-                         "pid " + std::to_string(pid) + ", weight " +
-                             format_weight(weight));
+                         label + ", weight " + format_weight(weight));
   };
 
   // remove_shard: ring handoff first (new routes skip the leaver
@@ -994,15 +860,13 @@ void RankShardedEngine::router_loop(std::vector<parallel::Transport*> links) {
         ++it;
       }
     }
-    long pid;
+    std::unique_ptr<Worker> leaver;
     {
       util::MutexLock topo(topology_mu_);
-      links_[s].reset();
-      pid = worker_pids_[s];
-      worker_pids_[s] = -1;
+      leaver = std::move(workers_[s]);
     }
     links[s] = nullptr;
-    if (pid > 0) reap_worker(pid, std::chrono::milliseconds(5000));
+    if (leaver) leaver->reap(std::chrono::milliseconds(5000));
     state.removed.store(true, std::memory_order_relaxed);
     flight_.record_event(obs::EventKind::kShardRemoved, static_cast<int>(s),
                          state.generation.load(std::memory_order_relaxed),
@@ -1085,7 +949,6 @@ void RankShardedEngine::router_loop(std::vector<parallel::Transport*> links) {
         try {
           handle_reply(s, std::move(*reply));
         } catch (const Error& e) {
-          if (!socket) throw;
           mark_dead(s, e.what());
           break;
         }
@@ -1116,7 +979,7 @@ void RankShardedEngine::router_loop(std::vector<parallel::Transport*> links) {
     // nor demoted) gets respawned once its backoff expires. Runs after
     // routing so a death observed this iteration sheds first — owed
     // futures never ride the respawn.
-    if (socket && !drain && config_.socket.respawn) {
+    if (!drain && config_.socket.respawn) {
       const auto now = std::chrono::steady_clock::now();
       std::vector<ShardState*> states;
       {
@@ -1161,7 +1024,6 @@ void RankShardedEngine::router_loop(std::vector<parallel::Transport*> links) {
             }
             handle_reply(s, std::move(reply));
           } catch (const Error& e) {
-            if (!socket) throw;
             mark_dead(s, e.what());
           }
         }
@@ -1193,7 +1055,7 @@ void RankShardedEngine::router_loop(std::vector<parallel::Transport*> links) {
         if (routable(s) && !drain_acked[static_cast<std::size_t>(s)])
           acked = false;
       if (ingress_empty && inflight.empty() && acked) break;
-      if (socket && std::chrono::steady_clock::now() > drain_stall_deadline) {
+      if (std::chrono::steady_clock::now() > drain_stall_deadline) {
         std::vector<char> owes(static_cast<std::size_t>(n), 0);
         for (const auto& [id, fl] : inflight)
           owes[static_cast<std::size_t>(fl.shard)] = 1;
@@ -1209,40 +1071,31 @@ void RankShardedEngine::router_loop(std::vector<parallel::Transport*> links) {
   }
 
   // Shutdown handshake: every live shard acks kStopped after finishing
-  // its in-hand batch, so joining the runtime cannot strand work. The
-  // timed recv turns a protocol bug into a loud error instead of a
-  // destructor that never returns; a socket worker that will not ack is
-  // demoted to dead (the reaper escalates to SIGKILL).
+  // its in-hand batch, so reaping the workers cannot strand work. A
+  // worker that will not ack within the timed recv is demoted to dead
+  // instead of hanging the destructor (for a process, the reaper then
+  // escalates to SIGKILL).
   const int n = static_cast<int>(links.size());
   for (int s = 0; s < n; ++s)
     if (routable(s))
       shard_send(s, ShardEnvelope{ShardEnvelope::Kind::kShutdown, 0, {}});
   for (int s = 0; s < n; ++s) {
     while (routable(s)) {
-      std::optional<ShardReply> ack;
+      // Late replies queued before the shutdown envelope are handled so
+      // their futures resolve, then we keep waiting for the ack. A
+      // protocol-violating late reply demotes the shard like a dead link.
       try {
         std::optional<std::vector<std::uint8_t>> bytes =
             links[static_cast<std::size_t>(s)]->recv_for(
                 std::chrono::microseconds(30'000'000));
-        if (bytes) ack = decode_reply(*bytes);
+        if (!bytes) {
+          mark_dead(s, "no shutdown ack within the deadline");
+          break;
+        }
+        ShardReply ack = decode_reply(*bytes);
+        if (ack.kind == ShardReply::Kind::kStopped) break;
+        handle_reply(s, std::move(ack));
       } catch (const Error& e) {
-        if (!socket) throw;
-        mark_dead(s, e.what());
-        break;
-      }
-      if (socket && !ack.has_value()) {
-        mark_dead(s, "no shutdown ack within the deadline");
-        break;
-      }
-      QKMPS_CHECK_MSG(ack.has_value(), "shard never acked shutdown");
-      if (ack->kind == ShardReply::Kind::kStopped) break;
-      // Late replies queued before the shutdown envelope: handle them so
-      // their futures resolve, then keep waiting for the ack. A
-      // protocol-violating late reply demotes the shard like a dead link.
-      try {
-        handle_reply(s, std::move(*ack));
-      } catch (const Error& e) {
-        if (!socket) throw;
         mark_dead(s, e.what());
         break;
       }
@@ -1250,7 +1103,7 @@ void RankShardedEngine::router_loop(std::vector<parallel::Transport*> links) {
   }
 }
 
-std::vector<EngineStats> RankShardedEngine::fetch_remote_stats() const {
+std::vector<EngineStats> RankShardedEngine::fetch_worker_stats() const {
   std::size_t n;
   {
     util::MutexLock topo(topology_mu_);
@@ -1260,7 +1113,7 @@ std::vector<EngineStats> RankShardedEngine::fetch_remote_stats() const {
   std::future<std::vector<EngineStats>> fut = promise.get_future();
   {
     util::MutexLock lock(mu_);
-    if (stopped_ || draining_ || runtime_error_)
+    if (stopped_ || draining_ || router_error_)
       return std::vector<EngineStats>(n);
     stats_requests_.push_back(std::move(promise));
   }
@@ -1280,18 +1133,11 @@ RankShardedStats RankShardedEngine::stats() const {
   agg.completed = completed_.load(std::memory_order_relaxed);
   agg.shed = shed_.load(std::memory_order_relaxed);
   agg.resizes = resizes_.load(std::memory_order_relaxed);
-  std::vector<EngineStats> engine_stats;
-  // The remote sweep happens before topology_mu_ is taken: the router
-  // answers it, and the router may itself be inside a resize holding
+  // The sweep happens before topology_mu_ is taken: the router answers
+  // it, and the router may itself be inside a resize holding
   // topology_mu_ — waiting on it while it waited on us would deadlock.
-  if (config_.transport == TransportKind::kSocket)
-    engine_stats = fetch_remote_stats();
+  const std::vector<EngineStats> engine_stats = fetch_worker_stats();
   util::MutexLock topo(topology_mu_);
-  if (config_.transport != TransportKind::kSocket) {
-    engine_stats.reserve(engines_.size());
-    for (const auto& engine : engines_)
-      engine_stats.push_back(engine ? engine->stats() : EngineStats{});
-  }
   agg.shards.reserve(shard_state_.size());
   for (std::size_t i = 0; i < shard_state_.size(); ++i) {
     RankShardStats s;

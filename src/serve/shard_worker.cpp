@@ -48,7 +48,7 @@ std::vector<obs::Span> batch_spans(double gather_seconds,
 
 }  // namespace
 
-bool run_shard_worker(parallel::Transport& link, InferenceEngine& engine,
+bool run_shard_worker(parallel::SocketTransport& link, InferenceEngine& engine,
                       const ShardWorkerOptions& options) {
   const std::size_t limit = std::max<std::size_t>(1, options.batch_limit);
   std::size_t scored_total = 0;
@@ -89,8 +89,8 @@ bool run_shard_worker(parallel::Transport& link, InferenceEngine& engine,
       continue;
     }
 
-    // Gather: micro-batching emerges under load exactly as in the
-    // in-process frontend — whatever envelopes are already queued join
+    // Gather: micro-batching emerges under load exactly as in
+    // ShardedEngine — whatever envelopes are already queued join
     // the batch, up to the drain bound; an idle link means a batch of
     // one. A control envelope ends the gather and is honoured after the
     // batch is scored (FIFO: its ack must follow our replies).
@@ -156,7 +156,7 @@ bool run_shard_worker(parallel::Transport& link, InferenceEngine& engine,
   }
 }
 
-void shard_handshake_client(parallel::Transport& link,
+void shard_handshake_client(parallel::SocketTransport& link,
                             const ShardHello& hello,
                             std::chrono::microseconds timeout) {
   link.send(encode_hello(hello));
@@ -173,7 +173,7 @@ void shard_handshake_client(parallel::Transport& link,
                       << kShardWireVersion);
 }
 
-ShardHello shard_handshake_server(parallel::Transport& link,
+ShardHello shard_handshake_server(parallel::SocketTransport& link,
                                   const ShardAcceptPolicy& policy,
                                   std::chrono::microseconds timeout) {
   const std::optional<std::vector<std::uint8_t>> bytes =
@@ -212,7 +212,7 @@ ShardHello shard_handshake_server(parallel::Transport& link,
   return hello;
 }
 
-ShardHello shard_handshake_server(parallel::Transport& link,
+ShardHello shard_handshake_server(parallel::SocketTransport& link,
                                   std::size_t num_shards,
                                   std::int64_t num_features,
                                   std::chrono::microseconds timeout) {

@@ -32,12 +32,48 @@ using qkmps::testing::serving_request_pool;
 
 kernel::RealMatrix request_pool() { return serving_request_pool(200); }
 
+/// The deterministic relations hold for both worker kinds, so each runs
+/// against thread workers (kInProcess) and serving_rankd processes
+/// (kSocket). QKMPS_RANKD_PATH is injected by tests/CMakeLists.txt as the
+/// built worker binary's absolute path, so the process workers always
+/// come from the same build.
+class RankShardedWorkerTest : public ::testing::TestWithParam<TransportKind> {
+ protected:
+  RankShardedEngineConfig config(std::size_t shards) const {
+    RankShardedEngineConfig rcfg;
+    rcfg.num_shards = shards;
+    rcfg.transport = GetParam();
+#ifdef QKMPS_RANKD_PATH
+    rcfg.socket.worker_path = QKMPS_RANKD_PATH;
+#endif
+    rcfg.socket.bundle_dir = bundle_dir_;
+    return rcfg;
+  }
+  void TearDown() override {
+    std::filesystem::remove_all(bundle_dir_);
+    std::filesystem::remove_all(bundle_dir_ + ".tmp");
+  }
+  std::string bundle_dir_ = ::testing::TempDir() + "/qkmps_workers_bundle_" +
+                            std::to_string(::getpid());
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    WorkerKinds, RankShardedWorkerTest,
+#ifdef QKMPS_RANKD_PATH
+    ::testing::Values(TransportKind::kInProcess, TransportKind::kSocket),
+#else
+    ::testing::Values(TransportKind::kInProcess),
+#endif
+    [](const ::testing::TestParamInfo<TransportKind>& info) {
+      return std::string(to_string(info.param));
+    });
+
 /// The tentpole metamorphic relation: the rank-distributed frontend must
 /// serve every standard workload scenario bitwise-identically to the
-/// sequential simulate_states + decision_values pipeline, at every rank
-/// count — transport, routing, batching, and rank scheduling are not
+/// sequential simulate_states + decision_values pipeline, at every shard
+/// count — worker kind, routing, batching, and scheduling are not
 /// allowed to be numeric decisions.
-TEST(RankShardedEngine, MetamorphicParityAcrossScenariosAndRankCounts) {
+TEST_P(RankShardedWorkerTest, MetamorphicParityAcrossScenariosAndRankCounts) {
   const Serving s = qkmps::testing::train_small_serving(41);
   const auto pool = request_pool();
   for (const ScenarioConfig& cfg : workload::standard_scenarios(40, 8, 5)) {
@@ -45,8 +81,7 @@ TEST(RankShardedEngine, MetamorphicParityAcrossScenariosAndRankCounts) {
     const std::vector<double> ref =
         sequential_reference(s, scenario.unique_points);
     for (std::size_t shards : {2u, 3u, 5u}) {
-      RankShardedEngineConfig rcfg;
-      rcfg.num_shards = shards;
+      RankShardedEngineConfig rcfg = config(shards);
       rcfg.engine.max_batch = 8;
       RankShardedEngine engine(s.bundle, rcfg);
 
@@ -84,23 +119,21 @@ TEST(RankShardedEngine, MetamorphicParityAcrossScenariosAndRankCounts) {
   }
 }
 
-TEST(RankShardedEngine, RoutingIsStableAndMatchesShardField) {
+TEST_P(RankShardedWorkerTest, RoutingIsStableAndMatchesShardField) {
   const Serving s = qkmps::testing::train_small_serving(42);
   const auto pool = request_pool();
-  RankShardedEngineConfig rcfg;
-  rcfg.num_shards = 3;
-  RankShardedEngine engine(s.bundle, rcfg);
+  RankShardedEngine engine(s.bundle, config(3));
   for (idx i = 0; i < 12; ++i) {
     const std::vector<double> f(pool.row(i), pool.row(i) + pool.cols());
     const int expected = engine.shard_for(f);
     EXPECT_EQ(expected, engine.shard_for(f));  // pure function
     const RoutedPrediction p = engine.submit(f).get();
     ASSERT_EQ(p.status, ServeStatus::kServed);
-    EXPECT_EQ(p.shard, expected);  // the router rank agrees with shard_for
+    EXPECT_EQ(p.shard, expected);  // the router agrees with shard_for
   }
 }
 
-TEST(RankShardedEngine, DestructionServesAllInFlightRequests) {
+TEST_P(RankShardedWorkerTest, DestructionServesAllInFlightRequests) {
   const Serving s = qkmps::testing::train_small_serving(43);
   const auto pool = request_pool();
   const std::vector<double> ref = sequential_reference(s, [&] {
@@ -112,13 +145,11 @@ TEST(RankShardedEngine, DestructionServesAllInFlightRequests) {
 
   std::vector<std::future<RoutedPrediction>> futures;
   {
-    RankShardedEngineConfig rcfg;
-    rcfg.num_shards = 2;
-    RankShardedEngine engine(s.bundle, rcfg);
+    RankShardedEngine engine(s.bundle, config(2));
     for (idx i = 0; i < 16; ++i)
       futures.push_back(engine.submit(
           std::vector<double>(pool.row(i), pool.row(i) + pool.cols())));
-  }  // destructor: drain ingress + in-flight, shut ranks down, join
+  }  // destructor: drain ingress + in-flight, shut workers down, reap
   for (idx i = 0; i < 16; ++i) {
     const RoutedPrediction p = futures[static_cast<std::size_t>(i)].get();
     ASSERT_EQ(p.status, ServeStatus::kServed);
@@ -137,11 +168,10 @@ TEST(RankShardedEngine, MalformedRequestsThrowBeforeAdmission) {
   EXPECT_EQ(engine.stats().submitted, 0u);
 }
 
-TEST(RankShardedEngine, TightIngressKeepsAdmissionInvariants) {
+TEST_P(RankShardedWorkerTest, TightIngressKeepsAdmissionInvariants) {
   const Serving s = qkmps::testing::train_small_serving(45);
   const auto pool = request_pool();
-  RankShardedEngineConfig rcfg;
-  rcfg.num_shards = 2;
+  RankShardedEngineConfig rcfg = config(2);
   rcfg.ingress_capacity = 1;  // any submit that outruns the router rejects
   RankShardedEngine engine(s.bundle, rcfg);
 
@@ -186,7 +216,7 @@ TEST(RankShardedEngine, TightIngressKeepsAdmissionInvariants) {
 /// remigrated, and the post-resize hit rate stays within 20% of the
 /// pre-resize one. The modulo router on the identical stream cold-starts
 /// several times more keys.
-TEST(RankShardedEngine, ConsistentHashResizeRetainsCaches) {
+TEST_P(RankShardedWorkerTest, ConsistentHashResizeRetainsCaches) {
   const Serving s = qkmps::testing::train_small_serving(46);
   const auto pool = request_pool();
 
@@ -236,8 +266,7 @@ TEST(RankShardedEngine, ConsistentHashResizeRetainsCaches) {
 
   auto measure = [&](RouterKind kind, RoundCounters& round1,
                      RoundCounters& round2) {
-    RankShardedEngineConfig rcfg;
-    rcfg.num_shards = 3;
+    RankShardedEngineConfig rcfg = config(3);
     rcfg.router = RouterConfig{kind, 128};
     // The memo would short-circuit repeats before they reach the
     // StateCache; disable it so cache retention is what gets measured.
@@ -277,7 +306,7 @@ TEST(RankShardedEngine, ConsistentHashResizeRetainsCaches) {
   EXPECT_LT(ring2.circuits, mod2.circuits);
 }
 
-TEST(RankShardedEngine, ServesAcrossAResizeAndKeepsParity) {
+TEST_P(RankShardedWorkerTest, ServesAcrossAResizeAndKeepsParity) {
   const Serving s = qkmps::testing::train_small_serving(47);
   const auto pool = request_pool();
   const idx n = 24;
@@ -288,9 +317,7 @@ TEST(RankShardedEngine, ServesAcrossAResizeAndKeepsParity) {
     return pts;
   }());
 
-  RankShardedEngineConfig rcfg;
-  rcfg.num_shards = 2;
-  RankShardedEngine engine(s.bundle, rcfg);
+  RankShardedEngine engine(s.bundle, config(2));
 
   auto check = [&](idx from, idx to) {
     std::vector<std::future<RoutedPrediction>> futures;
@@ -315,11 +342,10 @@ TEST(RankShardedEngine, ServesAcrossAResizeAndKeepsParity) {
   EXPECT_EQ(st.resizes, 1u);
 }
 
-/// remove_shard on the in-process transport: the removed slot's keys
-/// hand off to the survivors, the id is never reused, parity holds
-/// across the shrink, and the removed shard's engine (and caches) are
-/// released.
-TEST(RankShardedEngine, RemoveShardInProcessHandsOffAndKeepsParity) {
+/// remove_shard: the removed slot's keys hand off to the survivors, the
+/// id is never reused, parity holds across the shrink, and the removed
+/// shard's worker (with its engine and caches) is reaped.
+TEST_P(RankShardedWorkerTest, RemoveShardHandsOffAndKeepsParity) {
   const Serving s = qkmps::testing::train_small_serving(48);
   const auto pool = request_pool();
   const idx n = 24;
@@ -330,9 +356,7 @@ TEST(RankShardedEngine, RemoveShardInProcessHandsOffAndKeepsParity) {
     return pts;
   }());
 
-  RankShardedEngineConfig rcfg;
-  rcfg.num_shards = 3;
-  RankShardedEngine engine(s.bundle, rcfg);
+  RankShardedEngine engine(s.bundle, config(3));
 
   auto check = [&](idx from, idx to) {
     for (idx i = from; i < to; ++i) {
@@ -366,11 +390,10 @@ TEST(RankShardedEngine, RemoveShardInProcessHandsOffAndKeepsParity) {
 
 /// Heterogeneous fleets: shard_weights skews the consistent-hash ring so
 /// a double-weight shard pulls roughly double the keys.
-TEST(RankShardedEngine, ShardWeightsSkewRoutingProportionally) {
+TEST_P(RankShardedWorkerTest, ShardWeightsSkewRoutingProportionally) {
   const Serving s = qkmps::testing::train_small_serving(49);
   const auto pool = request_pool();
-  RankShardedEngineConfig rcfg;
-  rcfg.num_shards = 2;
+  RankShardedEngineConfig rcfg = config(2);
   rcfg.router = RouterConfig{RouterKind::kConsistentHash, 256};
   rcfg.shard_weights = {2.0, 1.0};
   RankShardedEngine engine(s.bundle, rcfg);
@@ -389,99 +412,59 @@ TEST(RankShardedEngine, ShardWeightsSkewRoutingProportionally) {
   EXPECT_EQ(st.shards[1].weight, 1.0);
 }
 
-// ---------------------------------------------------------------------
-// Socket transport: the same engine, shards as serving_rankd processes.
-// QKMPS_RANKD_PATH is injected by tests/CMakeLists.txt as the built
-// worker binary's absolute path, so these tests always run against the
-// worker from the same build.
-
-#ifdef QKMPS_RANKD_PATH
-
-RankShardedEngineConfig socket_config(const std::string& bundle_dir,
-                                      std::size_t shards) {
-  RankShardedEngineConfig rcfg;
-  rcfg.num_shards = shards;
-  rcfg.engine.max_batch = 8;
-  rcfg.transport = TransportKind::kSocket;
-  rcfg.socket.worker_path = QKMPS_RANKD_PATH;
-  rcfg.socket.bundle_dir = bundle_dir;
-  return rcfg;
-}
-
-class RankShardedSocketTest : public ::testing::Test {
- protected:
-  std::string bundle_dir_ = ::testing::TempDir() + "/qkmps_rankd_bundle_" +
-                            std::to_string(::getpid());
-  void TearDown() override {
-    std::filesystem::remove_all(bundle_dir_);
-    std::filesystem::remove_all(bundle_dir_ + ".tmp");
-  }
-};
-
-/// The acceptance relation of the transport swap: served predictions over
-/// real worker processes are bitwise-identical to the sequential pipeline
-/// (and therefore to the in-process transport, which the suites above pin
-/// against the same oracle).
-TEST_F(RankShardedSocketTest, SocketParityMatchesSequentialPipeline) {
-  const Serving s = qkmps::testing::train_small_serving(51);
+/// stats() reads every worker's engine counters over its link (the
+/// kStats flow) — for thread workers too, which share the router's
+/// address space but not its engines. With cache and memo off each
+/// served request simulates exactly one circuit on the shard that
+/// served it, so the fetched counters must match the router's own
+/// per-shard tallies one for one.
+TEST_P(RankShardedWorkerTest, WorkerEngineStatsTravelTheStatsFlow) {
+  const Serving s = qkmps::testing::train_small_serving(50);
   const auto pool = request_pool();
-  ScenarioConfig cfg;
-  cfg.name = "socket-uniform";
-  cfg.seed = 9;
-  cfg.num_requests = 48;
-  cfg.num_unique = 12;
-  const Scenario scenario = workload::make_scenario(cfg, pool);
-  const std::vector<double> ref =
-      sequential_reference(s, scenario.unique_points);
+  RankShardedEngineConfig rcfg = config(3);
+  rcfg.engine.cache_capacity = 0;
+  rcfg.engine.memo_capacity = 0;
+  RankShardedEngine engine(s.bundle, rcfg);
 
-  RankShardedEngine engine(s.bundle, socket_config(bundle_dir_, 2));
   std::vector<std::future<RoutedPrediction>> futures;
-  for (idx r = 0; r < scenario.size(); ++r)
-    futures.push_back(engine.submit(scenario.request(r)));
-  for (idx r = 0; r < scenario.size(); ++r) {
-    const RoutedPrediction p = futures[static_cast<std::size_t>(r)].get();
-    ASSERT_EQ(p.status, ServeStatus::kServed) << "request " << r;
-    const idx u = scenario.order[static_cast<std::size_t>(r)];
-    EXPECT_EQ(p.prediction.decision_value, ref[static_cast<std::size_t>(u)])
-        << "request " << r;
-  }
+  for (idx i = 0; i < 30; ++i)
+    futures.push_back(engine.submit(
+        std::vector<double>(pool.row(i), pool.row(i) + pool.cols())));
+  for (auto& fut : futures) ASSERT_EQ(fut.get().status, ServeStatus::kServed);
 
-  // Remote engine stats travel the kStats flow; the workers really did
-  // the scoring (circuits simulated remotely, never locally).
   const RankShardedStats st = engine.stats();
-  EXPECT_EQ(st.completed, static_cast<std::uint64_t>(scenario.size()));
-  EXPECT_EQ(st.shed, 0u);
-  ASSERT_EQ(st.shards.size(), 2u);
-  std::uint64_t circuits = 0, engine_requests = 0;
-  for (const RankShardStats& shard : st.shards) {
-    EXPECT_TRUE(shard.alive);
-    EXPECT_EQ(shard.routed, shard.served);
+  ASSERT_EQ(st.shards.size(), 3u);
+  std::uint64_t circuits = 0;
+  for (std::size_t i = 0; i < st.shards.size(); ++i) {
+    const RankShardStats& shard = st.shards[i];
+    EXPECT_EQ(shard.engine.circuits_simulated, shard.served) << "shard " << i;
+    EXPECT_EQ(shard.engine.requests, shard.served) << "shard " << i;
     circuits += shard.engine.circuits_simulated;
-    engine_requests += shard.engine.requests;
   }
-  EXPECT_GT(circuits, 0u);
-  EXPECT_EQ(engine_requests, st.completed);
+  EXPECT_EQ(circuits, 30u);
 }
 
-/// The tentpole tracing claim over real processes: every served request
-/// comes back with a stitched cross-process trace — a nonzero
+/// The tentpole tracing claim, for both worker kinds: every served
+/// request comes back with a stitched router + worker trace — a nonzero
 /// router-assigned id, the router-side spans, and at least one
 /// worker-origin span that traveled back inside the ShardReply (wire v3)
 /// and was re-based under the router's wire span. A mixed cached/uncached
 /// stream pins that memo/cache hits are traced exactly like cold
 /// requests (a hit batch records memo/cache spans even when the
 /// simulator never runs).
-TEST_F(RankShardedSocketTest, ServedRequestsCarryStitchedWorkerSpans) {
+TEST_P(RankShardedWorkerTest, ServedRequestsCarryStitchedWorkerSpans) {
   const Serving s = qkmps::testing::train_small_serving(63);
   const auto pool = request_pool();
   ScenarioConfig cfg;
-  cfg.name = "socket-traced";
+  cfg.name = "traced";
   cfg.seed = 17;
   cfg.num_requests = 40;
   cfg.num_unique = 8;  // 5x repetition: most requests are memo/cache hits
   const Scenario scenario = workload::make_scenario(cfg, pool);
 
-  RankShardedEngine engine(s.bundle, socket_config(bundle_dir_, 2));
+  RankShardedEngineConfig rcfg = config(2);
+  rcfg.engine.max_batch = 8;
+  RankShardedEngine engine(s.bundle, rcfg);
   std::vector<std::future<RoutedPrediction>> futures;
   for (idx r = 0; r < scenario.size(); ++r)
     futures.push_back(engine.submit(scenario.request(r)));
@@ -530,6 +513,77 @@ TEST_F(RankShardedSocketTest, ServedRequestsCarryStitchedWorkerSpans) {
   for (const obs::LifecycleEvent& e : flight.events())
     if (e.kind == obs::EventKind::kSpawn) ++spawns;
   EXPECT_EQ(spawns, 2u);
+}
+
+// ---------------------------------------------------------------------
+// Process workers only: behaviour a thread cannot show — a pid, an fd
+// table, a kill -9 from outside, a respawn that re-execs a binary.
+
+#ifdef QKMPS_RANKD_PATH
+
+RankShardedEngineConfig socket_config(const std::string& bundle_dir,
+                                      std::size_t shards) {
+  RankShardedEngineConfig rcfg;
+  rcfg.num_shards = shards;
+  rcfg.engine.max_batch = 8;
+  rcfg.transport = TransportKind::kSocket;
+  rcfg.socket.worker_path = QKMPS_RANKD_PATH;
+  rcfg.socket.bundle_dir = bundle_dir;
+  return rcfg;
+}
+
+class RankShardedSocketTest : public ::testing::Test {
+ protected:
+  std::string bundle_dir_ = ::testing::TempDir() + "/qkmps_rankd_bundle_" +
+                            std::to_string(::getpid());
+  void TearDown() override {
+    std::filesystem::remove_all(bundle_dir_);
+    std::filesystem::remove_all(bundle_dir_ + ".tmp");
+  }
+};
+
+/// The acceptance relation of the process boundary: served predictions
+/// over real worker processes are bitwise-identical to the sequential
+/// pipeline, and the workers really did the scoring.
+TEST_F(RankShardedSocketTest, SocketParityMatchesSequentialPipeline) {
+  const Serving s = qkmps::testing::train_small_serving(51);
+  const auto pool = request_pool();
+  ScenarioConfig cfg;
+  cfg.name = "socket-uniform";
+  cfg.seed = 9;
+  cfg.num_requests = 48;
+  cfg.num_unique = 12;
+  const Scenario scenario = workload::make_scenario(cfg, pool);
+  const std::vector<double> ref =
+      sequential_reference(s, scenario.unique_points);
+
+  RankShardedEngine engine(s.bundle, socket_config(bundle_dir_, 2));
+  std::vector<std::future<RoutedPrediction>> futures;
+  for (idx r = 0; r < scenario.size(); ++r)
+    futures.push_back(engine.submit(scenario.request(r)));
+  for (idx r = 0; r < scenario.size(); ++r) {
+    const RoutedPrediction p = futures[static_cast<std::size_t>(r)].get();
+    ASSERT_EQ(p.status, ServeStatus::kServed) << "request " << r;
+    const idx u = scenario.order[static_cast<std::size_t>(r)];
+    EXPECT_EQ(p.prediction.decision_value, ref[static_cast<std::size_t>(u)])
+        << "request " << r;
+  }
+
+  // Remote engine stats travel the kStats flow; the workers really did
+  // the scoring (circuits simulated remotely, never locally).
+  const RankShardedStats st = engine.stats();
+  EXPECT_EQ(st.completed, static_cast<std::uint64_t>(scenario.size()));
+  EXPECT_EQ(st.shed, 0u);
+  ASSERT_EQ(st.shards.size(), 2u);
+  std::uint64_t circuits = 0, engine_requests = 0;
+  for (const RankShardStats& shard : st.shards) {
+    EXPECT_TRUE(shard.alive);
+    EXPECT_EQ(shard.routed, shard.served);
+    circuits += shard.engine.circuits_simulated;
+    engine_requests += shard.engine.requests;
+  }
+  EXPECT_GT(circuits, 0u);
+  EXPECT_EQ(engine_requests, st.completed);
 }
 
 /// Worker death is an expected distributed-systems outcome, not an

@@ -1,5 +1,5 @@
 // parallel/socket_transport.hpp: the frame codec and the socket-backed
-// Transport. The codec carries every byte of the rank-sharded serving
+// link. The codec carries every byte of the rank-sharded serving
 // protocol across process boundaries, so the contract under torture is
 // absolute: every malformed frame — truncated header, truncated payload,
 // wrong magic, future version, oversized or hostile length, flipped
@@ -10,6 +10,7 @@
 
 #include "parallel/socket_transport.hpp"
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -282,6 +283,43 @@ TEST(SocketTransport, PeerCloseSurfacesAsErrorAfterBufferedFrames) {
   EXPECT_EQ(*b, bytes_of({2}));
   // ...then the dead peer surfaces as a loud error, not a hang/nullopt.
   EXPECT_THROW(server->recv_for(std::chrono::microseconds(1'000'000)), Error);
+}
+
+/// The thread-worker link: both socketpair ends are close-on-exec (a
+/// process worker spawned later must not inherit them and hold the link
+/// open), frames cross in order both ways, and closing one end reads as
+/// a dead peer on the other.
+TEST(SocketTransport, PairEndsAreCloexecAndCarryFramesInOrder) {
+  auto [router_end, worker_end] = SocketTransport::pair();
+  ASSERT_NE(router_end, nullptr);
+  ASSERT_NE(worker_end, nullptr);
+  for (const SocketTransport* end : {router_end.get(), worker_end.get()}) {
+    const int flags = ::fcntl(end->fd(), F_GETFD);
+    ASSERT_GE(flags, 0);
+    EXPECT_TRUE(flags & FD_CLOEXEC) << "fd " << end->fd();
+  }
+
+  for (int i = 0; i < 20; ++i) router_end->send(bytes_of({i, 2 * i}));
+  for (int i = 0; i < 20; ++i) {
+    const auto got =
+        worker_end->recv_for(std::chrono::microseconds(2'000'000));
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(*got, bytes_of({i, 2 * i})) << "message " << i;
+  }
+  worker_end->send(bytes_of({7}));
+  const auto reply = router_end->recv_for(std::chrono::microseconds(2'000'000));
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(*reply, bytes_of({7}));
+  EXPECT_FALSE(router_end->try_recv().has_value());
+
+  worker_end->send(bytes_of({8}));
+  worker_end.reset();  // the worker goes away with one frame in flight
+  const auto last = router_end->recv_for(std::chrono::microseconds(2'000'000));
+  ASSERT_TRUE(last.has_value());
+  EXPECT_EQ(*last, bytes_of({8}));
+  EXPECT_THROW(router_end->recv_for(std::chrono::microseconds(1'000'000)),
+               Error);
+  EXPECT_THROW(router_end->send(bytes_of({9})), Error);
 }
 
 TEST(SocketTransport, ConnectTimesOutAgainstNobody) {

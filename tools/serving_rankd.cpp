@@ -4,9 +4,9 @@
 /// the model bundle from disk, connects back to the router's listener,
 /// handshakes (wire version + shard index + model shape, see
 /// src/serve/shard_wire.hpp), and then runs the exact same
-/// gather->predict->reply loop the in-process ranks run
-/// (serve::run_shard_worker) — the transport substitution DESIGN.md §1
-/// promises, with zero drift between the two deployments.
+/// gather->predict->reply loop the engine's thread workers run
+/// (serve::run_shard_worker) — zero drift between the two worker kinds
+/// (DESIGN.md §1).
 ///
 /// Usage:
 ///   serving_rankd --connect=ADDR --shard=I --bundle=DIR
@@ -25,7 +25,7 @@
 /// respawned worker carries the slot's bumped generation; a straggler
 /// from a superseded spawn is refused at the handshake).
 ///
-/// --max-batch configures the engine (mirroring the in-process shards'
+/// --max-batch configures the engine (mirroring the thread workers'
 /// EngineConfig); --gather bounds the worker loop's opportunistic batch
 /// (the router's drain_max_batch resolution) and defaults to --max-batch.
 ///

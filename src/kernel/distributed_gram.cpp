@@ -3,6 +3,7 @@
 #include <cmath>
 #include <vector>
 
+#include "linalg/policy.hpp"
 #include "mps/inner_product.hpp"
 #include "parallel/partition.hpp"
 #include "parallel/rank_runtime.hpp"
@@ -109,6 +110,7 @@ RealMatrix no_messaging_gram(const QuantumKernelConfig& config,
 
   RankRuntime rt(num_ranks);
   rt.run([&](Comm& comm) {
+    const linalg::KernelThreadScope serial(1);  // one core per rank
     GramStats local;
     std::vector<TileResult> results;
     for (const TileCoord tc : owned[static_cast<std::size_t>(comm.rank())]) {
@@ -158,6 +160,7 @@ RealMatrix round_robin_gram(const QuantumKernelConfig& config,
 
   RankRuntime rt(num_ranks);
   rt.run([&](Comm& comm) {
+    const linalg::KernelThreadScope serial(1);  // one core per rank
     const int p = comm.rank();
     GramStats local;
     const Range my_range = blocks[static_cast<std::size_t>(p)];
@@ -245,6 +248,7 @@ RealMatrix distributed_cross_kernel(const QuantumKernelConfig& config,
 
   RankRuntime rt(num_ranks);
   rt.run([&](Comm& comm) {
+    const linalg::KernelThreadScope serial(1);  // one core per rank
     const int p = comm.rank();
     GramStats local;
     const Range my_rows = test_blocks[static_cast<std::size_t>(p)];

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
+#include "linalg/policy.hpp"
 #include "mps/inner_product.hpp"
+#include "parallel/thread_pool.hpp"
 #include "util/error.hpp"
 
 namespace qkmps::kernel {
@@ -21,6 +24,32 @@ double max_abs_diff_impl(const RealMatrix& a, const RealMatrix& b) {
 
 std::vector<double> row_features(const RealMatrix& x, idx i) {
   return std::vector<double>(x.row(i), x.row(i) + x.cols());
+}
+
+/// Runs row(i) for every i in [0, n) and returns the thread-CPU seconds
+/// spent in it, summed over the threads that ran it. Rows go to a
+/// transient pool of kernel_team_width() threads, handed out one at a time
+/// off parallel_for's atomic index so uneven rows balance; at width 1 the
+/// loop runs inline. Each lane works under a serial kernel budget, so an
+/// Accelerated gemm inside a row cannot fork a team of its own.
+template <typename Row>
+double for_each_row(idx n, const Row& row) {
+  const idx width = std::min<idx>(linalg::kernel_team_width(), n);
+  if (width <= 1) {
+    ThreadCpuTimer timer;
+    for (idx i = 0; i < n; ++i) row(i);
+    return timer.seconds();
+  }
+  std::vector<double> cpu(static_cast<std::size_t>(n), 0.0);
+  parallel::ThreadPool pool(static_cast<std::size_t>(width));
+  pool.parallel_for(static_cast<std::size_t>(n), [&](std::size_t i) {
+    linalg::detail::KernelProbeGuard probe;
+    const linalg::KernelThreadScope serial(1);
+    ThreadCpuTimer timer;
+    row(static_cast<idx>(i));
+    cpu[i] = timer.seconds();
+  });
+  return std::accumulate(cpu.begin(), cpu.end(), 0.0);
 }
 
 }  // namespace
@@ -76,22 +105,21 @@ RealMatrix gram_from_states(const std::vector<mps::Mps>& states,
                             linalg::ExecPolicy policy, GramStats* stats) {
   const idx n = static_cast<idx>(states.size());
   RealMatrix k(n, n);
-  ThreadCpuTimer timer;
-  idx count = 0;
-  for (idx i = 0; i < n; ++i) {
+  // Row i owns k(i, i..n-1) and their mirrors k(i+1..n-1, i): no entry is
+  // written by two rows.
+  const double cpu = for_each_row(n, [&](idx i) {
+    const mps::Mps& si = states[static_cast<std::size_t>(i)];
     k(i, i) = 1.0;  // normalized states overlap with themselves
     for (idx j = i + 1; j < n; ++j) {
-      const double v = mps::overlap_squared(states[static_cast<std::size_t>(i)],
-                                            states[static_cast<std::size_t>(j)],
-                                            policy);
+      const double v = mps::overlap_squared(
+          si, states[static_cast<std::size_t>(j)], policy);
       k(i, j) = v;
       k(j, i) = v;
-      ++count;
     }
-  }
+  });
   if (stats != nullptr) {
-    stats->phases.add("inner_product", timer.seconds());
-    stats->inner_products += count;
+    stats->phases.add("inner_product", cpu);
+    stats->inner_products += n * (n - 1) / 2;
   }
   return k;
 }
@@ -102,14 +130,14 @@ RealMatrix cross_from_states(const std::vector<mps::Mps>& test_states,
   const idx nt = static_cast<idx>(test_states.size());
   const idx nr = static_cast<idx>(train_states.size());
   RealMatrix k(nt, nr);
-  ThreadCpuTimer timer;
-  for (idx i = 0; i < nt; ++i)
+  const double cpu = for_each_row(nt, [&](idx i) {
+    const mps::Mps& si = test_states[static_cast<std::size_t>(i)];
     for (idx j = 0; j < nr; ++j)
-      k(i, j) = mps::overlap_squared(test_states[static_cast<std::size_t>(i)],
-                                     train_states[static_cast<std::size_t>(j)],
-                                     policy);
+      k(i, j) = mps::overlap_squared(
+          si, train_states[static_cast<std::size_t>(j)], policy);
+  });
   if (stats != nullptr) {
-    stats->phases.add("inner_product", timer.seconds());
+    stats->phases.add("inner_product", cpu);
     stats->inner_products += nt * nr;
   }
   return k;

@@ -20,6 +20,13 @@ struct QuantumKernelConfig {
 /// totals ("simulation", "inner_product", "communication") are the Fig. 8
 /// runtime breakdown.
 struct GramStats {
+  /// "simulation" and "inner_product" are processor-seconds: thread-CPU
+  /// time summed over every thread that did the work. gram_from_states /
+  /// cross_from_states spread rows over worker threads, and each worker
+  /// times its own rows, so "inner_product" is the total zipper cost
+  /// whatever the width (not the caller's wall or CPU time, which reads
+  /// ~0 while the caller waits on the workers). "communication" is
+  /// wall-clock time.
   PhaseTimer phases;
   idx circuits_simulated = 0;
   idx inner_products = 0;
@@ -41,7 +48,8 @@ std::vector<mps::Mps> simulate_states(const QuantumKernelConfig& config,
                                       GramStats* stats = nullptr);
 
 /// Symmetric training Gram matrix K_ij = |<psi(x_i)|psi(x_j)>|^2 (Eq. 1),
-/// computed sequentially (exploiting symmetry: N(N-1)/2 inner products).
+/// exploiting symmetry: N(N-1)/2 inner products. States are simulated
+/// serially; the overlaps run as described at gram_from_states.
 RealMatrix gram_matrix(const QuantumKernelConfig& config, const RealMatrix& x,
                        GramStats* stats = nullptr);
 
@@ -51,6 +59,12 @@ RealMatrix cross_kernel(const QuantumKernelConfig& config,
                         GramStats* stats = nullptr);
 
 /// Same two entry points but computed from already-simulated states.
+/// Rows are spread over linalg::kernel_team_width() threads (the
+/// KernelThreadScope budget of the calling thread; width 1 runs inline).
+/// Every entry is computed and written by exactly one task with the same
+/// arithmetic, so the result is bitwise identical at any width. An
+/// exception thrown by a row reaches the caller after every worker has
+/// stopped.
 RealMatrix gram_from_states(const std::vector<mps::Mps>& states,
                             linalg::ExecPolicy policy,
                             GramStats* stats = nullptr);

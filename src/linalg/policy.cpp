@@ -17,6 +17,10 @@ thread_local int g_kernel_budget = 0;
 
 std::atomic<int> g_probe_active{0};
 std::atomic<int> g_probe_peak{0};
+/// Guards open on this thread: only the outermost counts, so a kernel
+/// region nested inside another on the same thread (a blocked gemm inside
+/// a Gram row worker) is one thread, not two.
+thread_local int t_probe_depth = 0;
 
 }  // namespace
 
@@ -56,6 +60,7 @@ int kernel_probe_peak() { return g_probe_peak.load(std::memory_order_relaxed); }
 namespace detail {
 
 KernelProbeGuard::KernelProbeGuard() {
+  if (t_probe_depth++ > 0) return;
   const int now = g_probe_active.fetch_add(1, std::memory_order_relaxed) + 1;
   int peak = g_probe_peak.load(std::memory_order_relaxed);
   while (now > peak &&
@@ -65,6 +70,7 @@ KernelProbeGuard::KernelProbeGuard() {
 }
 
 KernelProbeGuard::~KernelProbeGuard() {
+  if (--t_probe_depth > 0) return;
   g_probe_active.fetch_sub(1, std::memory_order_relaxed);
 }
 

@@ -10,9 +10,10 @@
 
 namespace qkmps::parallel {
 
-/// Fixed-size thread pool. Used by the sequential Gram-matrix builder to
-/// parallelize embarrassingly-parallel loops (circuit simulations, inner
-/// products) without the full rank-runtime machinery.
+/// Fixed-size thread pool on plain std::threads (so TSan sees every
+/// hand-off). kernel::gram_from_states / cross_from_states spread their
+/// rows of zipper overlaps over a transient pool through parallel_for,
+/// without the full rank-runtime machinery.
 class ThreadPool {
  public:
   explicit ThreadPool(std::size_t num_threads);

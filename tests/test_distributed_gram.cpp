@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "kernel/distributed_gram.hpp"
+#include "linalg/policy.hpp"
 #include "test_helpers.hpp"
 
 namespace qkmps::kernel {
@@ -94,6 +95,32 @@ TEST(DistributedGram, ResultIsSymmetric) {
     const RealMatrix k = distributed_gram_matrix(cfg4(), x, 3, strategy);
     EXPECT_EQ(symmetry_defect(k), 0.0);
   }
+}
+
+TEST(DistributedGram, RanksRunKernelsSerially) {
+  // Each rank is one core: an Accelerated gemm inside a rank must not fork
+  // a team of its own (R ranks x an OpenMP team would oversubscribe).
+  // Twelve features at d = 3 reach bond ~50, past the blocked gemm's fork
+  // threshold.
+  QuantumKernelConfig cfg;
+  cfg.ansatz = {.num_features = 12, .layers = 2, .distance = 3, .gamma = 1.0};
+  cfg.sim.policy = linalg::ExecPolicy::Accelerated;
+  const RealMatrix x = random_scaled_data(6, 12, 900);
+  linalg::kernel_probe_reset();
+  distributed_gram_matrix(cfg, x, 3, DistributionStrategy::RoundRobin);
+  EXPECT_LE(linalg::kernel_probe_peak(), 3);
+  linalg::kernel_probe_reset();
+  distributed_cross_kernel(cfg, x, x, 3);
+  EXPECT_LE(linalg::kernel_probe_peak(), 3);
+}
+
+TEST(DistributedGram, GramFromStatesHonorsTheCallerBudget) {
+  const RealMatrix x = random_scaled_data(12, 4, 901);
+  const auto states = simulate_states(cfg4(), x);
+  const linalg::KernelThreadScope scope(2);
+  linalg::kernel_probe_reset();
+  gram_from_states(states, linalg::ExecPolicy::Reference);
+  EXPECT_LE(linalg::kernel_probe_peak(), 2);
 }
 
 }  // namespace

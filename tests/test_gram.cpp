@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "circuit/statevector.hpp"
 #include "kernel/gram.hpp"
+#include "linalg/policy.hpp"
 #include "test_helpers.hpp"
 
 namespace qkmps::kernel {
@@ -129,6 +131,103 @@ TEST(CrossKernel, CountsBothSimulationSets) {
   cross_kernel(small_config(4), xtest, xtrain, &stats);
   EXPECT_EQ(stats.circuits_simulated, 5);
   EXPECT_EQ(stats.inner_products, 6);
+}
+
+bool same_bits(const RealMatrix& a, const RealMatrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.rows() * a.cols()) *
+                         sizeof(double)) == 0;
+}
+
+// Width invariance: the thread count of the row workers is a scheduling
+// choice, never a numeric one.
+TEST(Gram, BitwiseIdenticalAtAnyWidth) {
+  const RealMatrix xtrain = random_scaled_data(17, 6, 20);
+  const RealMatrix xtest = random_scaled_data(9, 6, 21);
+  const QuantumKernelConfig cfg = small_config(6, 2, 0.9);
+  const auto train = simulate_states(cfg, xtrain);
+  const auto test = simulate_states(cfg, xtest);
+  for (const auto policy :
+       {linalg::ExecPolicy::Reference, linalg::ExecPolicy::Accelerated}) {
+    GramStats wide_stats, serial_stats;
+    const RealMatrix k_wide = gram_from_states(train, policy, &wide_stats);
+    const RealMatrix c_wide =
+        cross_from_states(test, train, policy, &wide_stats);
+    RealMatrix k_serial, c_serial;
+    {
+      const linalg::KernelThreadScope serial(1);
+      k_serial = gram_from_states(train, policy, &serial_stats);
+      c_serial = cross_from_states(test, train, policy, &serial_stats);
+    }
+    EXPECT_TRUE(same_bits(k_wide, k_serial)) << to_string(policy);
+    EXPECT_TRUE(same_bits(c_wide, c_serial)) << to_string(policy);
+    EXPECT_EQ(wide_stats.inner_products, serial_stats.inner_products);
+    EXPECT_EQ(wide_stats.inner_products, 17 * 16 / 2 + 9 * 17);
+    EXPECT_EQ(wide_stats.circuits_simulated, serial_stats.circuits_simulated);
+    for (int width : {2, 3}) {
+      const linalg::KernelThreadScope scope(width);
+      EXPECT_TRUE(same_bits(gram_from_states(train, policy), k_serial))
+          << to_string(policy) << " width " << width;
+      EXPECT_TRUE(same_bits(cross_from_states(test, train, policy), c_serial))
+          << to_string(policy) << " width " << width;
+    }
+  }
+}
+
+TEST(Gram, RowWorkersStayWithinTheKernelBudget) {
+  // Bond-64 sites put an Accelerated overlap's gemm past its fork
+  // threshold: a row worker without its own serial budget would fork a
+  // full OpenMP team.
+  Rng rng(22);
+  std::vector<mps::Mps> states;
+  for (int i = 0; i < 6; ++i)
+    states.push_back(qkmps::testing::random_mps(4, 64, rng, 64));
+  for (const auto policy :
+       {linalg::ExecPolicy::Reference, linalg::ExecPolicy::Accelerated}) {
+    const linalg::KernelThreadScope scope(2);
+    linalg::kernel_probe_reset();
+    gram_from_states(states, policy);
+    cross_from_states(states, states, policy);
+    EXPECT_LE(linalg::kernel_probe_peak(), 2) << to_string(policy);
+  }
+}
+
+TEST(Gram, InnerProductPhaseCountsWorkerCpuTime) {
+  // Processor-seconds summed over the row workers: a caller-only timer
+  // would read ~0 while the caller waits on the pool.
+  const RealMatrix x = random_scaled_data(24, 20, 23);
+  const auto states = simulate_states(small_config(20), x);
+  GramStats wide;
+  gram_from_states(states, linalg::ExecPolicy::Reference, &wide);
+  EXPECT_GT(wide.phases.total("inner_product"), 0.0);
+  GramStats serial;
+  {
+    const linalg::KernelThreadScope scope(1);
+    gram_from_states(states, linalg::ExecPolicy::Reference, &serial);
+  }
+  EXPECT_GT(serial.phases.total("inner_product"), 0.0);
+}
+
+TEST(Gram, WorkerErrorReachesCallerAfterEveryLaneJoins) {
+  const RealMatrix x = random_scaled_data(10, 4, 24);
+  auto states = simulate_states(small_config(4), x);
+  // One state on a different chain length: every row that pairs with it
+  // throws from inside a worker.
+  states[6] = simulate_states(small_config(5), random_scaled_data(1, 5, 25))[0];
+  for (const auto policy :
+       {linalg::ExecPolicy::Reference, linalg::ExecPolicy::Accelerated}) {
+    EXPECT_THROW(gram_from_states(states, policy), Error);
+    EXPECT_THROW(cross_from_states(states, states, policy), Error);
+  }
+  // The pool is gone and no lane is left running: the kernel probe is back
+  // to idle, so a fresh reset-and-run sees only its own workers.
+  states.erase(states.begin() + 6);
+  const linalg::KernelThreadScope scope(2);
+  linalg::kernel_probe_reset();
+  const RealMatrix k = gram_from_states(states, linalg::ExecPolicy::Reference);
+  EXPECT_LE(linalg::kernel_probe_peak(), 2);
+  EXPECT_EQ(symmetry_defect(k), 0.0);
 }
 
 TEST(Gram, RejectsFeatureMismatch) {

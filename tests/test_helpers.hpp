@@ -11,6 +11,7 @@
 #include "linalg/gemm.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/svd.hpp"
+#include "mps/mps.hpp"
 #include "util/rng.hpp"
 
 namespace qkmps::testing {
@@ -136,6 +137,27 @@ inline double dense_zz_correlation(const std::vector<cplx>& amps, idx m, idx q) 
     acc += std::norm(amps[i]) * sign;
   }
   return acc;
+}
+
+/// Unnormalized MPS with iid normal entries and bonds drawn from
+/// [min_bond, max_bond] (boundaries 1). Not a physical state: it reaches
+/// bond shapes a short simulation cannot, so two chains' bonds differ and
+/// no site need be square.
+inline mps::Mps random_mps(idx m, idx max_bond, Rng& rng, idx min_bond = 1) {
+  mps::Mps out(m);
+  idx left = 1;
+  for (idx i = 0; i < m; ++i) {
+    const idx right =
+        i + 1 == m ? 1
+                   : min_bond + static_cast<idx>(rng.uniform_int(
+                                    static_cast<std::uint64_t>(
+                                        max_bond - min_bond + 1)));
+    mps::SiteTensor t(left, right);
+    for (auto& v : t.a) v = rng.normal_cplx();
+    out.site(i) = std::move(t);
+    left = right;
+  }
+  return out;
 }
 
 }  // namespace qkmps::testing

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "circuit/ansatz.hpp"
 #include "circuit/statevector.hpp"
+#include "linalg/gemm.hpp"
 #include "mps/gate_application.hpp"
 #include "mps/inner_product.hpp"
 #include "mps/simulator.hpp"
@@ -27,6 +29,69 @@ struct StatePair {
     sv.apply(c);
   }
 };
+
+/// The two-gemm zipper the workspace kernel replaced, kept as the oracle:
+/// matricized copies of every site, an adjoint copy, two gemm() results.
+cplx gemm_zipper(const Mps& a, const Mps& b, linalg::ExecPolicy policy) {
+  linalg::Matrix env(1, 1);
+  env(0, 0) = 1.0;
+  for (idx i = 0; i < a.num_sites(); ++i) {
+    const SiteTensor& sa = a.site(i);
+    const SiteTensor& sb = b.site(i);
+    const linalg::Matrix t = linalg::gemm(env, sb.as_right_matrix(), policy);
+    linalg::Matrix t2(sa.left * 2, sb.right);
+    std::copy(t.data(), t.data() + t.size(), t2.data());
+    env = linalg::gemm(sa.as_left_matrix(), t2, policy, linalg::Op::ConjT,
+                       linalg::Op::None);
+  }
+  return env(0, 0);
+}
+
+bool same_bits(cplx x, cplx y) { return std::memcmp(&x, &y, sizeof(cplx)) == 0; }
+
+using qkmps::testing::random_mps;
+
+TEST(InnerProduct, BitwiseEqualToGemmZipperOnUnevenBonds) {
+  Rng rng(42);
+  for (const auto policy :
+       {linalg::ExecPolicy::Reference, linalg::ExecPolicy::Accelerated}) {
+    for (int trial = 0; trial < 40; ++trial) {
+      const idx m = 1 + static_cast<idx>(rng.uniform_int(9));
+      const Mps a = random_mps(m, 12, rng);
+      const Mps b = random_mps(m, 12, rng);
+      const cplx want = gemm_zipper(a, b, policy);
+      const cplx got = inner_product(a, b, policy);
+      EXPECT_TRUE(same_bits(got, want))
+          << to_string(policy) << " trial " << trial << ": " << got
+          << " vs " << want;
+    }
+  }
+}
+
+TEST(InnerProduct, WarmWorkspaceStaysBitwiseAcrossShrinkingBonds) {
+  // A large pair grows the thread's buffers; smaller pairs after it must
+  // not read stale entries from the larger shapes.
+  Rng rng(43);
+  const Mps big_a = random_mps(6, 12, rng), big_b = random_mps(6, 12, rng);
+  const Mps small_a = random_mps(6, 2, rng), small_b = random_mps(6, 3, rng);
+  for (const auto policy :
+       {linalg::ExecPolicy::Reference, linalg::ExecPolicy::Accelerated}) {
+    for (int round = 0; round < 2; ++round) {
+      EXPECT_TRUE(same_bits(inner_product(big_a, big_b, policy),
+                            gemm_zipper(big_a, big_b, policy)));
+      EXPECT_TRUE(same_bits(inner_product(small_a, small_b, policy),
+                            gemm_zipper(small_a, small_b, policy)));
+    }
+  }
+}
+
+TEST(InnerProduct, SimulatedStatesBitwiseEqualToGemmZipper) {
+  const StatePair a(8, 10, 3), b(8, 11, 3);
+  for (const auto policy :
+       {linalg::ExecPolicy::Reference, linalg::ExecPolicy::Accelerated})
+    EXPECT_TRUE(same_bits(inner_product(a.mps, b.mps, policy),
+                          gemm_zipper(a.mps, b.mps, policy)));
+}
 
 TEST(InnerProduct, SelfOverlapIsOne) {
   const StatePair a(6, 1);

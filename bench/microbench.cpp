@@ -101,7 +101,7 @@ template <linalg::ExecPolicy kPolicy>
 void BM_TwoQubitGate(benchmark::State& state) {
   const idx chi = state.range(0);
   const auto base = random_mps(8, chi, 6);
-  const auto u = circuit::make_rxx(3, 4, 0.8).matrix();
+  const auto u = circuit::make_rxx(3, 4, 0.8).unitary();
   const mps::TruncationConfig trunc;
   for (auto _ : state) {
     state.PauseTiming();

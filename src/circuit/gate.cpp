@@ -1,5 +1,6 @@
 #include "circuit/gate.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/error.hpp"
@@ -10,11 +11,11 @@ namespace {
 const cplx kI(0.0, 1.0);
 }
 
-linalg::Matrix Gate::matrix() const {
-  using linalg::Matrix;
+GateMatrix Gate::unitary() const {
+  GateMatrix m;
+  m.dim = (kind == GateKind::RXX || kind == GateKind::SWAP) ? 4 : 2;
   switch (kind) {
     case GateKind::H: {
-      Matrix m(2, 2);
       const double s = 1.0 / std::sqrt(2.0);
       m(0, 0) = s;
       m(0, 1) = s;
@@ -22,26 +23,19 @@ linalg::Matrix Gate::matrix() const {
       m(1, 1) = -s;
       return m;
     }
-    case GateKind::X: {
-      Matrix m(2, 2);
+    case GateKind::X:
       m(0, 1) = 1.0;
       m(1, 0) = 1.0;
       return m;
-    }
-    case GateKind::Z: {
-      Matrix m(2, 2);
+    case GateKind::Z:
       m(0, 0) = 1.0;
       m(1, 1) = -1.0;
       return m;
-    }
-    case GateKind::RZ: {
-      Matrix m(2, 2);
+    case GateKind::RZ:
       m(0, 0) = std::exp(-kI * (angle / 2.0));
       m(1, 1) = std::exp(kI * (angle / 2.0));
       return m;
-    }
     case GateKind::RX: {
-      Matrix m(2, 2);
       const double c = std::cos(angle / 2.0), s = std::sin(angle / 2.0);
       m(0, 0) = c;
       m(0, 1) = -kI * s;
@@ -50,7 +44,6 @@ linalg::Matrix Gate::matrix() const {
       return m;
     }
     case GateKind::RXX: {
-      Matrix m(4, 4);
       const double c = std::cos(angle / 2.0), s = std::sin(angle / 2.0);
       // exp(-i t XX / 2): cos on the diagonal, -i sin on the anti-diagonal.
       for (idx i = 0; i < 4; ++i) m(i, i) = c;
@@ -60,16 +53,21 @@ linalg::Matrix Gate::matrix() const {
       m(3, 0) = -kI * s;
       return m;
     }
-    case GateKind::SWAP: {
-      Matrix m(4, 4);
+    case GateKind::SWAP:
       m(0, 0) = 1.0;
       m(1, 2) = 1.0;
       m(2, 1) = 1.0;
       m(3, 3) = 1.0;
       return m;
-    }
   }
   throw Error("unknown gate kind");
+}
+
+linalg::Matrix Gate::matrix() const {
+  const GateMatrix u = unitary();
+  linalg::Matrix m(u.dim, u.dim);
+  std::copy(u.a.begin(), u.a.begin() + u.dim * u.dim, m.data());
+  return m;
 }
 
 std::string Gate::name() const {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <string>
 
 #include "linalg/matrix.hpp"
@@ -21,6 +22,20 @@ enum class GateKind {
   SWAP,
 };
 
+/// A gate's unitary in fixed-size, row-major storage: 2x2 (dim 2) for
+/// single-qubit gates, 4x4 (dim 4) for two-qubit gates. Building one never
+/// touches the heap, which is why the simulator's per-gate path takes it
+/// instead of a linalg::Matrix.
+struct GateMatrix {
+  idx dim = 2;
+  std::array<cplx, 16> a{};
+
+  cplx& operator()(idx i, idx j) { return a[static_cast<std::size_t>(i * dim + j)]; }
+  const cplx& operator()(idx i, idx j) const {
+    return a[static_cast<std::size_t>(i * dim + j)];
+  }
+};
+
 struct Gate {
   GateKind kind;
   idx q0 = 0;
@@ -31,6 +46,8 @@ struct Gate {
 
   /// Single-qubit gates: 2x2 unitary. Two-qubit gates: 4x4 unitary in the
   /// basis |q0 q1> with q0 the more significant bit.
+  GateMatrix unitary() const;
+  /// unitary() as a heap linalg::Matrix, for dense-algebra callers.
   linalg::Matrix matrix() const;
 
   /// Gates of the same kind acting on disjoint qubits always commute; RXX

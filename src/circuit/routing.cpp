@@ -1,30 +1,10 @@
 #include "circuit/routing.hpp"
 
-#include <algorithm>
-#include <cstdlib>
-
 namespace qkmps::circuit {
 
 Circuit route_to_chain(const Circuit& c) {
   Circuit out(c.num_qubits());
-  for (const Gate& g : c.gates()) {
-    if (!g.is_two_qubit() || std::abs(g.q0 - g.q1) == 1) {
-      out.append(g);
-      continue;
-    }
-    const idx lo = std::min(g.q0, g.q1);
-    const idx hi = std::max(g.q0, g.q1);
-    // Walk the low qubit up to position hi-1 ...
-    for (idx p = lo; p < hi - 1; ++p) out.swap(p, p + 1);
-    // ... apply the gate on the now-adjacent pair, preserving operand
-    // order (RXX and SWAP are symmetric, but stay exact regardless):
-    Gate moved = g;
-    moved.q0 = (g.q0 == lo) ? hi - 1 : hi;
-    moved.q1 = (g.q1 == lo) ? hi - 1 : hi;
-    out.append(moved);
-    // ... and walk it back so later gates see the original layout.
-    for (idx p = hi - 1; p > lo; --p) out.swap(p - 1, p);
-  }
+  for_each_chain_gate(c, [&out](const Gate& g) { out.append(g); });
   return out;
 }
 

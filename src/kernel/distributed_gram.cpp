@@ -133,17 +133,11 @@ RealMatrix no_messaging_gram(const QuantumKernelConfig& config,
     {
       util::MutexLock lock(merge_mu);
       for (const auto& t : results) assemble(k, t, /*mirror=*/true);
-      merged.phases.merge(local.phases);
-      merged.circuits_simulated += local.circuits_simulated;
-      merged.inner_products += local.inner_products;
+      merged.merge(local);
     }
   });
 
-  if (stats != nullptr) {
-    stats->phases.merge(merged.phases);
-    stats->circuits_simulated += merged.circuits_simulated;
-    stats->inner_products += merged.inner_products;
-  }
+  if (stats != nullptr) stats->merge(merged);
   return k;
 }
 
@@ -205,17 +199,11 @@ RealMatrix round_robin_gram(const QuantumKernelConfig& config,
     {
       util::MutexLock lock(merge_mu);
       for (const auto& t : results) assemble(km, t, /*mirror=*/true);
-      merged.phases.merge(local.phases);
-      merged.circuits_simulated += local.circuits_simulated;
-      merged.inner_products += local.inner_products;
+      merged.merge(local);
     }
   });
 
-  if (stats != nullptr) {
-    stats->phases.merge(merged.phases);
-    stats->circuits_simulated += merged.circuits_simulated;
-    stats->inner_products += merged.inner_products;
-  }
+  if (stats != nullptr) stats->merge(merged);
   return km;
 }
 
@@ -283,17 +271,11 @@ RealMatrix distributed_cross_kernel(const QuantumKernelConfig& config,
     {
       util::MutexLock lock(merge_mu);
       for (const auto& t : results) assemble(km, t, /*mirror=*/false);
-      merged.phases.merge(local.phases);
-      merged.circuits_simulated += local.circuits_simulated;
-      merged.inner_products += local.inner_products;
+      merged.merge(local);
     }
   });
 
-  if (stats != nullptr) {
-    stats->phases.merge(merged.phases);
-    stats->circuits_simulated += merged.circuits_simulated;
-    stats->inner_products += merged.inner_products;
-  }
+  if (stats != nullptr) stats->merge(merged);
   return km;
 }
 

@@ -21,7 +21,8 @@ enum class DistributionStrategy {
 /// `num_ranks` thread-backed ranks. Produces bitwise the same matrix as
 /// kernel::gram_matrix (up to floating-point reduction order, which is
 /// identical here since every entry is computed independently).
-/// Per-rank phase timings are merged into `stats` if provided.
+/// Every rank's stats (phases, counts, discarded weight, bond and byte
+/// averages) are merged into `stats` if provided (GramStats::merge).
 RealMatrix distributed_gram_matrix(const QuantumKernelConfig& config,
                                    const RealMatrix& x, int num_ranks,
                                    DistributionStrategy strategy,

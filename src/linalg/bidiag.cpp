@@ -25,8 +25,12 @@ void bidiagonalize_into(const Matrix& a, ExecPolicy policy,
   out.d.assign(static_cast<std::size_t>(n), 0.0);
   out.e.assign(static_cast<std::size_t>(n > 0 ? n - 1 : 0), 0.0);
 
-  ws.lefts.resize(static_cast<std::size_t>(n));
-  ws.rights.resize(static_cast<std::size_t>(n > 0 ? n - 1 : 0));
+  // The reflector stacks only grow: shrinking would free the heap blocks
+  // of the trailing reflectors that a later, wider call needs again.
+  if (ws.lefts.size() < static_cast<std::size_t>(n))
+    ws.lefts.resize(static_cast<std::size_t>(n));
+  if (ws.rights.size() < static_cast<std::size_t>(n))
+    ws.rights.resize(static_cast<std::size_t>(n));
 
   std::vector<cplx>& buf = ws.buf;
   for (idx k = 0; k < n; ++k) {
@@ -64,7 +68,7 @@ void bidiagonalize_into(const Matrix& a, ExecPolicy policy,
   // V = W_0 W_1 ... W_{n-2}, where W_k acts on rows k+1..n-1.
   out.v.resize(n, n);
   for (idx i = 0; i < n; ++i) out.v(i, i) = 1.0;
-  for (idx k = static_cast<idx>(ws.rights.size()) - 1; k >= 0; --k)
+  for (idx k = n - 2; k >= 0; --k)
     apply_reflector_w_left(out.v, ws.rights[static_cast<std::size_t>(k)], k + 1);
 }
 

@@ -49,7 +49,7 @@ std::vector<SimulationResult> MpsSimulator::simulate_batch(
     while (t.next_gate < t.routed.gates().size()) {
       const circuit::Gate& g = t.routed.gates()[t.next_gate];
       if (!g.is_two_qubit()) {
-        apply_single_qubit_gate(t.result.state, g.matrix(), g.q0);
+        apply_single_qubit_gate(t.result.state, g.unitary(), g.q0);
         ++t.next_gate;
         ++t.result.gates_applied;
         if (config_.track_memory) {
@@ -61,7 +61,7 @@ std::vector<SimulationResult> MpsSimulator::simulate_batch(
       }
       QKMPS_CHECK_MSG(std::abs(g.q0 - g.q1) == 1,
                       "non-adjacent two-qubit gate survived routing");
-      const linalg::Matrix u = chain_ordered_gate(g);
+      const circuit::GateMatrix u = chain_ordered_gate(g);
       stage_two_qubit_gate(t.result.state, u, std::min(g.q0, g.q1), t.step,
                            config_.policy);
       t.pending = true;

@@ -1,5 +1,7 @@
 #include "mps/canonical.hpp"
 
+#include <algorithm>
+
 #include "linalg/gemm.hpp"
 #include "linalg/norms.hpp"
 #include "linalg/qr.hpp"
@@ -7,32 +9,66 @@
 
 namespace qkmps::mps {
 
+namespace {
+
+/// Per-thread canonicalization buffers. thread_local, so concurrent
+/// simulations never share one, and a warm thread's center moves reuse
+/// the heap blocks for every bond that fits what it has seen.
+struct CanonicalWorkspace {
+  linalg::Matrix site;      ///< the center site, matricized
+  linalg::Matrix neighbour; ///< the site absorbing R (or L), matricized
+  linalg::Matrix merged;    ///< R * neighbour (or neighbour * L)
+  linalg::QrResult qr;
+  linalg::LqResult lq;
+  linalg::QrWorkspace factor;
+};
+
+CanonicalWorkspace& workspace() {
+  thread_local CanonicalWorkspace ws;
+  return ws;
+}
+
+/// m <- t's storage read as a rows x (size / rows) matrix: a reshape of the
+/// row-major site, so a straight copy.
+void stage(linalg::Matrix& m, const SiteTensor& t, idx rows) {
+  m.resize_for_overwrite(rows, static_cast<idx>(t.a.size()) / rows);
+  std::copy(t.a.begin(), t.a.end(), m.data());
+}
+
+}  // namespace
+
 void shift_center_right(Mps& psi, linalg::ExecPolicy policy) {
   const idx c = psi.center();
   QKMPS_CHECK(c + 1 < psi.num_sites());
+  CanonicalWorkspace& ws = workspace();
 
   SiteTensor& s = psi.site(c);
-  const linalg::QrResult qr = linalg::qr_thin(s.as_left_matrix());
-  s = SiteTensor::from_left_matrix(qr.q, s.left);
+  stage(ws.site, s, 2 * s.left);
+  linalg::qr_thin_into(ws.site, ws.qr, ws.factor);
+  s.assign_left_matrix(ws.qr.q, s.left);
 
   SiteTensor& t = psi.site(c + 1);
   // next <- R * next over the shared bond.
-  const linalg::Matrix merged = linalg::gemm(qr.r, t.as_right_matrix(), policy);
-  t = SiteTensor::from_right_matrix(merged, t.right);
+  stage(ws.neighbour, t, t.left);
+  linalg::gemm_into(ws.merged, ws.qr.r, ws.neighbour, policy);
+  t.assign_right_matrix(ws.merged, t.right);
   psi.set_center(c + 1);
 }
 
 void shift_center_left(Mps& psi, linalg::ExecPolicy policy) {
   const idx c = psi.center();
   QKMPS_CHECK(c - 1 >= 0);
+  CanonicalWorkspace& ws = workspace();
 
   SiteTensor& s = psi.site(c);
-  const linalg::LqResult lq = linalg::lq_thin(s.as_right_matrix());
-  s = SiteTensor::from_right_matrix(lq.q, s.right);
+  stage(ws.site, s, s.left);
+  linalg::lq_thin_into(ws.site, ws.lq, ws.factor);
+  s.assign_right_matrix(ws.lq.q, s.right);
 
   SiteTensor& t = psi.site(c - 1);
-  const linalg::Matrix merged = linalg::gemm(t.as_left_matrix(), lq.l, policy);
-  t = SiteTensor::from_left_matrix(merged, t.left);
+  stage(ws.neighbour, t, 2 * t.left);
+  linalg::gemm_into(ws.merged, ws.neighbour, ws.lq.l, policy);
+  t.assign_left_matrix(ws.merged, t.left);
   psi.set_center(c - 1);
 }
 

@@ -11,9 +11,22 @@
 
 namespace qkmps::mps {
 
-void apply_single_qubit_gate(Mps& psi, const linalg::Matrix& u, idx q) {
+namespace {
+
+/// The serial path's buffers, reused gate after gate. thread_local, so
+/// concurrent simulations (simulate_states workers, serving lanes) never
+/// share one, and a warm thread's gates stop allocating once the bond
+/// dimensions fit what it has seen.
+struct SerialWorkspace {
+  TwoQubitStep step;
+  linalg::SvdWorkspace svd;
+};
+
+}  // namespace
+
+void apply_single_qubit_gate(Mps& psi, const circuit::GateMatrix& u, idx q) {
   QKMPS_CHECK(q >= 0 && q < psi.num_sites());
-  QKMPS_CHECK(u.rows() == 2 && u.cols() == 2);
+  QKMPS_CHECK(u.dim == 2);
   SiteTensor& t = psi.site(q);
   for (idx l = 0; l < t.left; ++l) {
     for (idx r = 0; r < t.right; ++r) {
@@ -25,10 +38,10 @@ void apply_single_qubit_gate(Mps& psi, const linalg::Matrix& u, idx q) {
   }
 }
 
-void stage_two_qubit_gate(Mps& psi, const linalg::Matrix& u, idx q,
+void stage_two_qubit_gate(Mps& psi, const circuit::GateMatrix& u, idx q,
                           TwoQubitStep& step, linalg::ExecPolicy policy) {
   QKMPS_CHECK(q >= 0 && q + 1 < psi.num_sites());
-  QKMPS_CHECK(u.rows() == 4 && u.cols() == 4);
+  QKMPS_CHECK(u.dim == 4);
 
   // Canonicalize so the bond (q, q+1) is optimal to truncate.
   if (psi.center() < q) move_center(psi, q, policy);
@@ -42,7 +55,8 @@ void stage_two_qubit_gate(Mps& psi, const linalg::Matrix& u, idx q,
   step.k = a.right;
   QKMPS_CHECK(b.left == step.k);
 
-  step.gate = u;
+  step.gate.resize_for_overwrite(4, 4);
+  std::copy(u.a.begin(), u.a.end(), step.gate.data());
   // The (left, physical) x right and left x (physical, right) groupings
   // are reshapes of the row-major site storage — straight copies into the
   // step's persistent buffers.
@@ -81,6 +95,10 @@ double commit_two_qubit_gate(Mps& psi, TwoQubitStep& step,
                              const TruncationConfig& trunc,
                              TruncationStats* stats) {
   linalg::SvdResult& f = step.f;
+  for (const double s : f.s)
+    QKMPS_CHECK_MSG(std::isfinite(s), "two-qubit gate on bond "
+                                          << step.q
+                                          << " produced a non-finite amplitude");
   const idx keep =
       linalg::truncation_rank(f.s, trunc.max_discarded_weight, trunc.max_bond);
   double discarded = 0.0;
@@ -90,52 +108,53 @@ double commit_two_qubit_gate(Mps& psi, TwoQubitStep& step,
 
   // Left site gets U (left-orthonormal); the singular values are contracted
   // into the right factor (Fig. 1b, last step), so the center lands on q+1.
-  psi.site(step.q) = SiteTensor::from_left_matrix(f.u, step.dl);
+  // Both sites are rewritten in place.
+  psi.site(step.q).assign_left_matrix(f.u, step.dl);
   for (idx i = 0; i < keep; ++i) {
     const double s = f.s[static_cast<std::size_t>(i)];
     for (idx j = 0; j < f.vh.cols(); ++j) f.vh(i, j) *= s;
   }
-  psi.site(step.q + 1) = SiteTensor::from_right_matrix(f.vh, step.dr);
+  psi.site(step.q + 1).assign_right_matrix(f.vh, step.dr);
   psi.set_center(step.q + 1);
 
   if (stats != nullptr) stats->record(discarded, keep);
   return discarded;
 }
 
-double apply_adjacent_two_qubit_gate(Mps& psi, const linalg::Matrix& u, idx q,
-                                     const TruncationConfig& trunc,
+double apply_adjacent_two_qubit_gate(Mps& psi, const circuit::GateMatrix& u,
+                                     idx q, const TruncationConfig& trunc,
                                      linalg::ExecPolicy policy,
                                      TruncationStats* stats) {
   // The serial path runs the same four phases the batched driver submits
   // to the batched kernel layer — one arithmetic path for both.
-  TwoQubitStep step;
+  thread_local SerialWorkspace ws;
+  TwoQubitStep& step = ws.step;
   stage_two_qubit_gate(psi, u, q, step, policy);
   linalg::gemm_into(step.theta, step.a_left, step.b_right, policy);
   permute_theta_for_gate(step);
   linalg::gemm_into(step.theta_u, step.gate, step.theta_p, policy);
   permute_theta_for_svd(step);
-  step.f = linalg::svd(step.theta_m, policy);
+  linalg::svd_into(step.theta_m, policy, step.f, ws.svd);
   return commit_two_qubit_gate(psi, step, trunc, stats);
 }
 
-linalg::Matrix chain_ordered_gate(const circuit::Gate& g) {
-  linalg::Matrix u = g.matrix();
-  if (g.q0 > g.q1) {
-    // Gate matrix is in |q0 q1> order; sites want |lo hi>. Conjugate by the
-    // qubit-swap permutation of the 4x4 matrix.
-    linalg::Matrix w(4, 4);
-    const auto flip = [](idx b) { return ((b & 1) << 1) | (b >> 1); };
-    for (idx i = 0; i < 4; ++i)
-      for (idx j = 0; j < 4; ++j) w(flip(i), flip(j)) = u(i, j);
-    u = std::move(w);
-  }
-  return u;
+circuit::GateMatrix chain_ordered_gate(const circuit::Gate& g) {
+  const circuit::GateMatrix u = g.unitary();
+  if (g.q0 < g.q1) return u;
+  // Gate matrix is in |q0 q1> order; sites want |lo hi>. Conjugate by the
+  // qubit-swap permutation of the 4x4 matrix.
+  circuit::GateMatrix w;
+  w.dim = 4;
+  const auto flip = [](idx b) { return ((b & 1) << 1) | (b >> 1); };
+  for (idx i = 0; i < 4; ++i)
+    for (idx j = 0; j < 4; ++j) w(flip(i), flip(j)) = u(i, j);
+  return w;
 }
 
 void apply_gate(Mps& psi, const circuit::Gate& g, const TruncationConfig& trunc,
                 linalg::ExecPolicy policy, TruncationStats* stats) {
   if (!g.is_two_qubit()) {
-    apply_single_qubit_gate(psi, g.matrix(), g.q0);
+    apply_single_qubit_gate(psi, g.unitary(), g.q0);
     return;
   }
   QKMPS_CHECK_MSG(std::abs(g.q0 - g.q1) == 1,

@@ -11,15 +11,18 @@ namespace qkmps::mps {
 /// Applies a single-qubit gate to site q: a pure contraction with the site
 /// tensor (Fig. 1a); bond dimensions are unchanged and no truncation is
 /// needed.
-void apply_single_qubit_gate(Mps& psi, const linalg::Matrix& u, idx q);
+void apply_single_qubit_gate(Mps& psi, const circuit::GateMatrix& u, idx q);
 
 /// Applies a two-qubit gate on adjacent sites (q, q+1) following Fig. 1b:
 /// move the orthogonality center to the bond, contract the two site tensors
 /// with the gate into a theta tensor, SVD, truncate per `trunc` (Eq. 8),
 /// and absorb the singular values into the right factor (leaving the center
 /// at q+1). `u` is 4x4 in the |q, q+1> basis. Returns the discarded weight.
-double apply_adjacent_two_qubit_gate(Mps& psi, const linalg::Matrix& u, idx q,
-                                     const TruncationConfig& trunc,
+/// The phases run in a per-thread TwoQubitStep and SVD workspace and the
+/// two sites are rewritten in place, so a warm thread applies the gate
+/// without touching the heap.
+double apply_adjacent_two_qubit_gate(Mps& psi, const circuit::GateMatrix& u,
+                                     idx q, const TruncationConfig& trunc,
                                      linalg::ExecPolicy policy,
                                      TruncationStats* stats = nullptr);
 
@@ -53,7 +56,7 @@ struct TwoQubitStep {
 
 /// Phase 1: canonicalize the bond (q, q+1) and matricize both site
 /// tensors into the step. `u` is copied into step.gate.
-void stage_two_qubit_gate(Mps& psi, const linalg::Matrix& u, idx q,
+void stage_two_qubit_gate(Mps& psi, const circuit::GateMatrix& u, idx q,
                           TwoQubitStep& step, linalg::ExecPolicy policy);
 
 /// Phase 2 (after theta = a_left * b_right): permute into the (s0 s1) x
@@ -65,14 +68,16 @@ void permute_theta_for_gate(TwoQubitStep& step);
 void permute_theta_for_svd(TwoQubitStep& step);
 
 /// Phase 4 (after step.f = svd(theta_m)): truncate per `trunc`, write the
-/// two site tensors back, land the center at q+1. Returns the discarded
-/// weight (and records it into `stats` when non-null).
+/// two site tensors back in place, land the center at q+1. Returns the
+/// discarded weight (and records it into `stats` when non-null). Throws
+/// qkmps::Error on a non-finite singular value (a NaN or infinite gate
+/// angle), which would otherwise poison every kernel entry silently.
 double commit_two_qubit_gate(Mps& psi, TwoQubitStep& step,
                              const TruncationConfig& trunc,
                              TruncationStats* stats);
 
 /// The |q0 q1> -> |lo hi> gate-matrix reordering used by apply_gate for
 /// descending-index two-qubit gates; exposed for the batched driver.
-linalg::Matrix chain_ordered_gate(const circuit::Gate& g);
+circuit::GateMatrix chain_ordered_gate(const circuit::Gate& g);
 
 }  // namespace qkmps::mps

@@ -21,26 +21,41 @@ linalg::Matrix SiteTensor::as_right_matrix() const {
 }
 
 SiteTensor SiteTensor::from_left_matrix(const linalg::Matrix& m, idx left) {
-  QKMPS_CHECK(m.rows() == left * 2);
-  SiteTensor t(left, m.cols());
-  std::copy(m.data(), m.data() + m.size(), t.a.data());
+  SiteTensor t(0, 0);
+  t.assign_left_matrix(m, left);
   return t;
 }
 
 SiteTensor SiteTensor::from_right_matrix(const linalg::Matrix& m, idx right) {
-  QKMPS_CHECK(m.cols() == 2 * right);
-  SiteTensor t(m.rows(), right);
-  std::copy(m.data(), m.data() + m.size(), t.a.data());
+  SiteTensor t(0, 0);
+  t.assign_right_matrix(m, right);
   return t;
 }
 
-Mps::Mps(idx num_sites) {
+void SiteTensor::assign_left_matrix(const linalg::Matrix& m, idx left_dim) {
+  QKMPS_CHECK(m.rows() == left_dim * 2);
+  left = left_dim;
+  right = m.cols();
+  a.assign(m.data(), m.data() + m.size());
+}
+
+void SiteTensor::assign_right_matrix(const linalg::Matrix& m, idx right_dim) {
+  QKMPS_CHECK(m.cols() == 2 * right_dim);
+  left = m.rows();
+  right = right_dim;
+  a.assign(m.data(), m.data() + m.size());
+}
+
+Mps::Mps(idx num_sites) { reset(num_sites); }
+
+void Mps::reset(idx num_sites) {
   QKMPS_CHECK(num_sites >= 1);
   sites_.resize(static_cast<std::size_t>(num_sites));
   for (auto& s : sites_) {
-    s = SiteTensor(1, 1);
+    s.left = 1;
+    s.right = 1;
+    s.a.assign(2, cplx(0.0));
     s.at(0, 0, 0) = 1.0;
-    s.at(0, 1, 0) = 0.0;
   }
   center_ = 0;
 }

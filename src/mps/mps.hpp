@@ -34,6 +34,11 @@ struct SiteTensor {
   static SiteTensor from_left_matrix(const linalg::Matrix& m, idx left);
   static SiteTensor from_right_matrix(const linalg::Matrix& m, idx right);
 
+  /// The same reshapes written into this tensor in place: the heap block
+  /// is reused whenever it is large enough, so it may keep slack capacity.
+  void assign_left_matrix(const linalg::Matrix& m, idx left);
+  void assign_right_matrix(const linalg::Matrix& m, idx right);
+
   std::size_t bytes() const { return a.size() * sizeof(cplx); }
 };
 
@@ -46,6 +51,10 @@ class Mps {
  public:
   /// |0...0> product state.
   explicit Mps(idx num_sites);
+
+  /// Resets to the |0...0> product state on `num_sites` sites, keeping each
+  /// surviving site's heap block (a reused simulation working state).
+  void reset(idx num_sites);
 
   /// |+>^m — the paper's initial state (Eq. 2).
   static Mps plus_state(idx num_sites);

@@ -7,31 +7,50 @@
 
 namespace qkmps::mps {
 
+namespace {
+
+/// Applies `c`'s chain-routed gate stream to out.state, accumulating into
+/// out's stats and memory profile.
+void run_gates(const SimulatorConfig& config, const circuit::Circuit& c,
+               SimulationResult& out) {
+  QKMPS_CHECK(c.num_qubits() == out.state.num_sites());
+  Timer timer;
+  circuit::for_each_chain_gate(c, [&](const circuit::Gate& g) {
+    apply_gate(out.state, g, config.truncation, config.policy,
+               &out.truncation);
+    ++out.gates_applied;
+    if (config.track_memory) {
+      out.memory.record(out.gates_applied, out.state.memory_bytes(),
+                        out.state.max_bond());
+    }
+  });
+  out.seconds = timer.seconds();
+}
+
+}  // namespace
+
 MpsSimulator::MpsSimulator(SimulatorConfig config) : config_(config) {}
 
 SimulationResult MpsSimulator::simulate(const circuit::Circuit& c) const {
-  return simulate(c, Mps(c.num_qubits()));
+  thread_local SimulationResult work;
+  simulate_into(c, work);
+  return SimulationResult(work);
 }
 
 SimulationResult MpsSimulator::simulate(const circuit::Circuit& c,
                                         Mps initial) const {
-  QKMPS_CHECK(c.num_qubits() == initial.num_sites());
-  const circuit::Circuit routed =
-      c.is_nearest_neighbour() ? c : circuit::route_to_chain(c);
-
   SimulationResult out{std::move(initial), {}, {}, 0.0, 0};
-  Timer timer;
-  for (const circuit::Gate& g : routed.gates()) {
-    apply_gate(out.state, g, config_.truncation, config_.policy,
-               &out.truncation);
-    ++out.gates_applied;
-    if (config_.track_memory) {
-      out.memory.record(out.gates_applied, out.state.memory_bytes(),
-                        out.state.max_bond());
-    }
-  }
-  out.seconds = timer.seconds();
-  return out;
+  run_gates(config_, c, out);
+  return SimulationResult(out);
+}
+
+void MpsSimulator::simulate_into(const circuit::Circuit& c,
+                                 SimulationResult& out) const {
+  out.state.reset(c.num_qubits());
+  out.truncation = {};
+  out.memory.clear();
+  out.gates_applied = 0;
+  run_gates(config_, c, out);
 }
 
 }  // namespace qkmps::mps

@@ -13,7 +13,8 @@ namespace qkmps::parallel {
 /// Fixed-size thread pool on plain std::threads (so TSan sees every
 /// hand-off). kernel::gram_from_states / cross_from_states spread their
 /// rows of zipper overlaps over a transient pool through parallel_for,
-/// without the full rank-runtime machinery.
+/// and kernel::simulate_states its circuits through submit, without the
+/// full rank-runtime machinery.
 class ThreadPool {
  public:
   explicit ThreadPool(std::size_t num_threads);

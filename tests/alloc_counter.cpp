@@ -1,4 +1,5 @@
-/// Counting global operator new for test_zipper_alloc only: every call
+/// Counting global operator new for the allocation-count suites
+/// (test_zipper_alloc, test_simulate_alloc) only: every call
 /// bumps a per-thread counter, so allocation counts are exact and
 /// unaffected by other threads. Kept in its own translation unit so the
 /// replacement is never inlined into the code under measurement.

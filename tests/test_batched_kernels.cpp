@@ -20,6 +20,7 @@
 #include <omp.h>
 #endif
 
+#include "circuit/ansatz.hpp"
 #include "linalg/batched.hpp"
 #include "linalg/gemm.hpp"
 #include "linalg/norms.hpp"
@@ -286,42 +287,56 @@ TEST(BatchedKernels, SimulateBatchBitwiseMatchesSimulate) {
   // The lockstep batched driver against one-circuit-at-a-time simulate():
   // states, truncation stats, and gate counts must be bitwise identical —
   // the end-to-end version of the scheduling-only contract, for both
-  // kernel policies and both batch backends.
+  // kernel policies, both batch backends and every pass width, with and
+  // without truncation. (simulate() itself is pinned to the allocating
+  // oracle in test_simulate_parity.)
   Rng rng(36);
   std::vector<circuit::Circuit> circuits;
   for (int i = 0; i < 5; ++i)
     circuits.push_back(testing::random_circuit(6, 24, rng));
+  // Routed ansatz circuits at d = 1..3.
+  for (idx d = 1; d <= 3; ++d) {
+    const circuit::AnsatzParams p{.num_features = 8, .layers = 2,
+                                  .distance = d, .gamma = 0.9};
+    circuits.push_back(
+        circuit::feature_map_circuit(p, testing::random_features(8, rng)));
+  }
 
   for (const ExecPolicy policy :
-       {ExecPolicy::Reference, ExecPolicy::Accelerated}) {
-    mps::SimulatorConfig scfg;
-    scfg.policy = policy;
-    scfg.track_memory = true;
-    const mps::MpsSimulator sim(scfg);
+       {ExecPolicy::Reference, ExecPolicy::Accelerated})
+    for (const idx cap : {idx{0}, idx{3}}) {
+      mps::SimulatorConfig scfg;
+      scfg.policy = policy;
+      scfg.truncation.max_bond = cap;
+      scfg.track_memory = true;
+      const mps::MpsSimulator sim(scfg);
 
-    std::vector<mps::SimulationResult> solo;
-    for (const auto& c : circuits) solo.push_back(sim.simulate(c));
+      std::vector<mps::SimulationResult> solo;
+      for (const auto& c : circuits) solo.push_back(sim.simulate(c));
 
-    for (const KernelBackend backend :
-         {KernelBackend::kSerial, KernelBackend::kOpenMPBatched}) {
-      KernelBatchConfig kc;
-      kc.backend = backend;
-      kc.thread_budget = 2;
-      const auto batch = sim.simulate_batch(circuits, kc);
-      ASSERT_EQ(batch.size(), circuits.size());
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        EXPECT_TRUE(bitwise_equal(batch[i].state, solo[i].state))
-            << "circuit " << i << " backend=" << to_string(backend);
-        EXPECT_EQ(batch[i].gates_applied, solo[i].gates_applied);
-        EXPECT_EQ(batch[i].truncation.total_discarded_weight,
-                  solo[i].truncation.total_discarded_weight);
-        EXPECT_EQ(batch[i].truncation.truncation_count,
-                  solo[i].truncation.truncation_count);
-        EXPECT_EQ(batch[i].truncation.max_bond_seen,
-                  solo[i].truncation.max_bond_seen);
-      }
+      for (const KernelBackend backend :
+           {KernelBackend::kSerial, KernelBackend::kOpenMPBatched})
+        for (const int budget : {1, 2, 4}) {
+          KernelBatchConfig kc;
+          kc.backend = backend;
+          kc.thread_budget = budget;
+          const auto batch = sim.simulate_batch(circuits, kc);
+          ASSERT_EQ(batch.size(), circuits.size());
+          for (std::size_t i = 0; i < batch.size(); ++i) {
+            EXPECT_TRUE(bitwise_equal(batch[i].state, solo[i].state))
+                << "circuit " << i << " " << to_string(policy) << " cap "
+                << cap << " backend=" << to_string(backend) << " budget "
+                << budget;
+            EXPECT_EQ(batch[i].gates_applied, solo[i].gates_applied);
+            EXPECT_EQ(batch[i].truncation.total_discarded_weight,
+                      solo[i].truncation.total_discarded_weight);
+            EXPECT_EQ(batch[i].truncation.truncation_count,
+                      solo[i].truncation.truncation_count);
+            EXPECT_EQ(batch[i].truncation.max_bond_seen,
+                      solo[i].truncation.max_bond_seen);
+          }
+        }
     }
-  }
 }
 
 TEST(BatchedKernels, BackendNames) {

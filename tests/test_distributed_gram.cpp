@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "kernel/distributed_gram.hpp"
 #include "linalg/policy.hpp"
 #include "test_helpers.hpp"
@@ -70,6 +72,48 @@ TEST(DistributedGram, NoMessagingDuplicatesSimulations) {
   distributed_gram_matrix(cfg4(), x, 4, DistributionStrategy::NoMessaging, &stats);
   EXPECT_GT(stats.circuits_simulated, 12);
   EXPECT_DOUBLE_EQ(stats.phases.total("communication"), 0.0);
+}
+
+// The quality signals survive the merge of the ranks' stats: each strategy
+// reports the discarded weight and the bond and byte averages of the
+// circuits it simulated, as the sequential kernels do.
+TEST(DistributedGram, StatsMergeQualitySignalsFromEveryRank) {
+  QuantumKernelConfig cfg;
+  cfg.ansatz = {.num_features = 6, .layers = 2, .distance = 2, .gamma = 0.9};
+  cfg.sim.truncation.max_bond = 2;  // every wide gate discards weight
+  const RealMatrix x = random_scaled_data(10, 6, 600);
+  const RealMatrix xtest = random_scaled_data(5, 6, 601);
+  const auto near = [](double got, double want) {
+    return std::abs(got - want) <= 1e-12 * std::abs(want);
+  };
+
+  GramStats seq;
+  gram_matrix(cfg, x, &seq);
+  ASSERT_GT(seq.total_discarded_weight, 0.0);
+  GramStats rr;
+  distributed_gram_matrix(cfg, x, 4, DistributionStrategy::RoundRobin, &rr);
+  EXPECT_EQ(rr.circuits_simulated, 10);
+  EXPECT_TRUE(near(rr.total_discarded_weight, seq.total_discarded_weight));
+  EXPECT_TRUE(near(rr.avg_max_bond, seq.avg_max_bond));
+  EXPECT_TRUE(near(rr.avg_mps_bytes, seq.avg_mps_bytes));
+
+  // Three ranks tile a 2 x 2 grid, so every circuit is simulated twice: the
+  // weight doubles and the averages stay.
+  GramStats nm;
+  distributed_gram_matrix(cfg, x, 3, DistributionStrategy::NoMessaging, &nm);
+  EXPECT_EQ(nm.circuits_simulated, 20);
+  EXPECT_TRUE(near(nm.total_discarded_weight, 2.0 * seq.total_discarded_weight));
+  EXPECT_TRUE(near(nm.avg_max_bond, seq.avg_max_bond));
+  EXPECT_TRUE(near(nm.avg_mps_bytes, seq.avg_mps_bytes));
+
+  GramStats seq_cross, dist_cross;
+  cross_kernel(cfg, xtest, x, &seq_cross);
+  distributed_cross_kernel(cfg, xtest, x, 3, &dist_cross);
+  EXPECT_EQ(dist_cross.circuits_simulated, 15);
+  EXPECT_TRUE(near(dist_cross.total_discarded_weight,
+                   seq_cross.total_discarded_weight));
+  EXPECT_TRUE(near(dist_cross.avg_max_bond, seq_cross.avg_max_bond));
+  EXPECT_TRUE(near(dist_cross.avg_mps_bytes, seq_cross.avg_mps_bytes));
 }
 
 TEST(DistributedGram, InnerProductCountMatchesSymmetricHalving) {

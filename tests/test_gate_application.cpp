@@ -24,14 +24,14 @@ TEST(GateApplication, SingleQubitGateMatchesStatevector) {
   for (idx q = 0; q < 4; ++q) sv.apply(circuit::make_h(q));
 
   const circuit::Gate g = circuit::make_rz(2, 0.8);
-  apply_single_qubit_gate(psi, g.matrix(), 2);
+  apply_single_qubit_gate(psi, g.unitary(), 2);
   sv.apply(g);
   EXPECT_LT(compare_to_statevector(psi, sv), 1e-14);
 }
 
 TEST(GateApplication, SingleQubitGatePreservesBonds) {
   Mps psi = Mps::plus_state(4);
-  apply_single_qubit_gate(psi, circuit::make_h(1).matrix(), 1);
+  apply_single_qubit_gate(psi, circuit::make_h(1).unitary(), 1);
   EXPECT_EQ(psi.max_bond(), 1);
 }
 
@@ -58,7 +58,7 @@ TEST(GateApplication, ReversedOperandOrderMatches) {
 
   // Make the state asymmetric first.
   const circuit::Gate rz = circuit::make_rz(2, 1.3);
-  apply_single_qubit_gate(psi, rz.matrix(), 2);
+  apply_single_qubit_gate(psi, rz.unitary(), 2);
   sv.apply(rz);
 
   const circuit::Gate g = circuit::make_rxx(2, 1, 0.7);  // q0 > q1
@@ -71,7 +71,7 @@ TEST(GateApplication, ReversedOperandOrderMatches) {
 TEST(GateApplication, SwapGateViaMps) {
   Mps psi(3);
   // Prepare |100>.
-  apply_single_qubit_gate(psi, circuit::make_x(0).matrix(), 0);
+  apply_single_qubit_gate(psi, circuit::make_x(0).unitary(), 0);
   TruncationConfig trunc;
   apply_gate(psi, circuit::make_swap(0, 1), trunc, linalg::ExecPolicy::Reference);
   const auto v = psi.to_statevector();

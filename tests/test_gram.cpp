@@ -133,6 +133,32 @@ TEST(CrossKernel, CountsBothSimulationSets) {
   EXPECT_EQ(stats.inner_products, 6);
 }
 
+// One stats object fed by two simulate_states calls reports averages over
+// all of its circuits_simulated, not just the last call's.
+TEST(CrossKernel, StatsAveragesCoverBothSimulationSets) {
+  QuantumKernelConfig cfg = small_config(8, 2, 0.9);
+  const RealMatrix xtest = random_scaled_data(3, 8, 14);
+  const RealMatrix xtrain = random_scaled_data(5, 8, 15);
+  GramStats test_only, train_only;
+  const auto test = simulate_states(cfg, xtest, &test_only);
+  const auto train = simulate_states(cfg, xtrain, &train_only);
+  ASSERT_NE(test_only.avg_mps_bytes, train_only.avg_mps_bytes);
+
+  double bond = 0.0, bytes = 0.0;
+  for (const auto* set : {&test, &train})
+    for (const mps::Mps& s : *set) {
+      bond += static_cast<double>(s.max_bond());
+      bytes += static_cast<double>(s.memory_bytes());
+    }
+  GramStats stats;
+  cross_kernel(cfg, xtest, xtrain, &stats);
+  EXPECT_EQ(stats.circuits_simulated, 8);
+  EXPECT_NEAR(stats.avg_max_bond, bond / 8.0, 1e-12 * bond / 8.0);
+  EXPECT_NEAR(stats.avg_mps_bytes, bytes / 8.0, 1e-12 * bytes / 8.0);
+  EXPECT_EQ(stats.total_discarded_weight,
+            test_only.total_discarded_weight + train_only.total_discarded_weight);
+}
+
 bool same_bits(const RealMatrix& a, const RealMatrix& b) {
   return a.rows() == b.rows() && a.cols() == b.cols() &&
          std::memcmp(a.data(), b.data(),

@@ -125,7 +125,7 @@ TEST(InnerProduct, OrthogonalProductStates) {
   Mps one(3);
   // |111>.
   for (idx q = 0; q < 3; ++q)
-    apply_single_qubit_gate(one, circuit::make_x(q).matrix(), q);
+    apply_single_qubit_gate(one, circuit::make_x(q).unitary(), q);
   EXPECT_NEAR(std::abs(inner_product(zero, one)), 0.0, 1e-15);
 }
 

@@ -117,7 +117,7 @@ TEST(Observables, ProductStateHasUnitBlochVector) {
 TEST(Observables, ZzCorrelatorOnBellPair) {
   // (|00> + |11>)/sqrt(2): <Z_0 Z_1> = 1 while <Z_0> = <Z_1> = 0.
   Mps psi(2);
-  apply_single_qubit_gate(psi, circuit::make_h(0).matrix(), 0);
+  apply_single_qubit_gate(psi, circuit::make_h(0).unitary(), 0);
   TruncationConfig trunc;
   // CNOT-like entangler via RXX + single-qubit dressing is overkill; build
   // the Bell state directly as a bond-2 MPS.
@@ -138,7 +138,7 @@ TEST(Observables, ZzCorrelatorOnBellPair) {
 
 TEST(Observables, ZzFactorizesOnProductStates) {
   Mps psi(3);
-  apply_single_qubit_gate(psi, circuit::make_rx(1, 0.7).matrix(), 1);
+  apply_single_qubit_gate(psi, circuit::make_rx(1, 0.7).unitary(), 1);
   Mps copy = psi;
   const double z1 = expectation_z(copy, 1);
   const double z2 = expectation_z(copy, 2);
